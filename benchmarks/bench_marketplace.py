@@ -9,11 +9,6 @@ Times the two marketplace hot paths in isolation:
 * **journal** — durable ``append_ticks`` latency across tick-batch
   sizes, showing how batching amortises the per-append fsync without
   changing the journal bytes;
-* **sharding** — the ``sharded`` tick engine across shard counts,
-  preceded by a byte-equivalence pre-check against the reference
-  engine (the cell refuses to time an engine that diverges).
-  ``--min-shard-speedup`` turns the measured ratio into a regression
-  gate, soft-skipped on machines with fewer than four cores;
 * **telemetry overhead** — journaled orchestration with telemetry off
   vs on (interleaved arms, best-of-repeats per arm).  ``--max-overhead-pct``
   turns the measured loss into a regression gate.
@@ -34,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -52,10 +46,9 @@ from repro.marketplace import (
 from repro.obs import create_telemetry
 from repro.obs.timing import perf_counter
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 DEFAULT_CAMPAIGN_COUNTS = (1, 2, 4)
-DEFAULT_SHARD_COUNTS = (1, 2, 4)
 BENCH_DATASETS = ("S-1", "S-2")
 
 
@@ -65,8 +58,6 @@ def build_orchestrator(
     journal_path: Optional[Path],
     seed: int,
     telemetry=None,
-    tick_engine: str = "reference",
-    n_shards: int = 1,
 ) -> MarketplaceOrchestrator:
     """A benchmark marketplace: every campaign keeps serving for the whole run."""
     tasks_per_tick = 2
@@ -85,8 +76,6 @@ def build_orchestrator(
         config=MarketplaceConfig(
             total_tasks=n_ticks * tasks_per_tick,
             tasks_per_tick=tasks_per_tick,
-            tick_engine=tick_engine,
-            n_shards=n_shards,
         ),
         churn=ChurnConfig(arrival_rate=0.5, departure_rate=0.02),
         journal_path=journal_path,
@@ -107,43 +96,6 @@ def time_orchestrator(
             start = perf_counter()
             orchestrator.run(n_ticks, tick_batch=8)
             times.append(perf_counter() - start)
-    best = min(times)
-    return {
-        "run_s": best,
-        "ticks_per_second": n_ticks / best if best > 0 else float("inf"),
-    }
-
-
-def verify_shard_equivalence(n_campaigns: int, n_shards: int, n_ticks: int = 40) -> None:
-    """Refuse to time a sharded engine that diverges from reference.
-
-    A short journaled run under each engine; the journal fingerprint is
-    engine-independent, so the bytes must match exactly.
-    """
-    with tempfile.TemporaryDirectory() as tmp:
-        reference = Path(tmp) / "reference.jsonl"
-        sharded = Path(tmp) / "sharded.jsonl"
-        build_orchestrator(n_campaigns, n_ticks, reference, seed=0).run(n_ticks, tick_batch=8)
-        build_orchestrator(
-            n_campaigns, n_ticks, sharded, seed=0, tick_engine="sharded", n_shards=n_shards
-        ).run(n_ticks, tick_batch=8)
-        if reference.read_bytes() != sharded.read_bytes():
-            raise AssertionError(
-                f"sharded engine diverged from reference at campaigns={n_campaigns} "
-                f"n_shards={n_shards}: journal bytes differ"
-            )
-
-
-def time_sharded(n_campaigns: int, n_ticks: int, repeats: int, n_shards: int) -> Dict[str, float]:
-    """Best-of-``repeats`` sharded-engine tick throughput (unjournaled)."""
-    times: List[float] = []
-    for repeat in range(repeats):
-        orchestrator = build_orchestrator(
-            n_campaigns, n_ticks, None, seed=repeat, tick_engine="sharded", n_shards=n_shards
-        )
-        start = perf_counter()
-        orchestrator.run(n_ticks, tick_batch=8)
-        times.append(perf_counter() - start)
     best = min(times)
     return {
         "run_s": best,
@@ -221,17 +173,13 @@ def run_benchmark(
     n_ticks: int,
     repeats: int,
     n_records: int,
-    shard_counts: Sequence[int] = DEFAULT_SHARD_COUNTS,
 ) -> Dict[str, object]:
     """The full benchmark payload."""
     orchestration: List[Dict[str, object]] = []
-    reference_tps: Dict[int, float] = {}
     for journaled in (False, True):
         for n_campaigns in campaign_counts:
             result = time_orchestrator(n_campaigns, n_ticks, repeats, journaled)
             orchestration.append({"campaigns": n_campaigns, "journaled": journaled, **result})
-            if not journaled:
-                reference_tps[n_campaigns] = float(result["ticks_per_second"])
             print(
                 f"  campaigns={n_campaigns} journal={'on ' if journaled else 'off'} "
                 f"{result['ticks_per_second']:>10,.0f} ticks/s",
@@ -244,22 +192,6 @@ def run_benchmark(
         print(
             f"  journal batch={tick_batch:<3} {result['records_per_second']:>10,.0f} records/s "
             f"({result['fsyncs']} fsyncs)",
-            file=sys.stderr,
-        )
-    sharding: List[Dict[str, object]] = []
-    shard_campaigns = max(campaign_counts)
-    for n_shards in shard_counts:
-        verify_shard_equivalence(shard_campaigns, n_shards)
-        result = time_sharded(shard_campaigns, n_ticks, repeats, n_shards)
-        baseline = reference_tps.get(shard_campaigns, 0.0)
-        speedup = float(result["ticks_per_second"]) / baseline if baseline > 0 else 0.0
-        sharding.append(
-            {"campaigns": shard_campaigns, "n_shards": n_shards, "speedup_vs_reference": speedup, **result}
-        )
-        print(
-            f"  sharded campaigns={shard_campaigns} n_shards={n_shards} "
-            f"{result['ticks_per_second']:>10,.0f} ticks/s "
-            f"({speedup:.2f}x reference, equivalence verified)",
             file=sys.stderr,
         )
     overhead = time_telemetry_overhead(max(campaign_counts), n_ticks, repeats)
@@ -277,12 +209,10 @@ def run_benchmark(
             "n_ticks": n_ticks,
             "repeats": repeats,
             "n_journal_records": n_records,
-            "shard_counts": list(shard_counts),
         },
         "environment": bench_environment(),
         "orchestration": orchestration,
         "journal": journal,
-        "sharding": sharding,
         "telemetry_overhead": overhead,
     }
 
@@ -293,24 +223,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--ticks", type=int, default=150, help="ticks per orchestration cell")
     parser.add_argument("--repeats", type=int, default=3, help="timing repeats (best is kept)")
     parser.add_argument("--records", type=int, default=512, help="records appended per journal cell")
-    parser.add_argument(
-        "--n-shards",
-        type=int,
-        nargs="+",
-        default=list(DEFAULT_SHARD_COUNTS),
-        metavar="N",
-        help="shard counts for the sharded-engine cells (each is equivalence-checked first)",
-    )
-    parser.add_argument(
-        "--min-shard-speedup",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help=(
-            "regression gate: exit non-zero when the best sharded cell is below "
-            "this multiple of reference throughput (soft-skipped below 4 cores)"
-        ),
-    )
     parser.add_argument(
         "--max-overhead-pct",
         type=float,
@@ -329,38 +241,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         n_ticks=args.ticks,
         repeats=args.repeats,
         n_records=args.records,
-        shard_counts=args.n_shards,
     )
     assert_bench_environment(payload)
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {args.output}", file=sys.stderr)
-    if args.min_shard_speedup is not None:
-        cpu_count = os.cpu_count() or 1
-        if cpu_count < 4:
-            print(
-                f"shard-speedup gate soft-skipped: only {cpu_count} cores "
-                f"(needs >= 4 for the parallel phase to pay off)",
-                file=sys.stderr,
-            )
-        else:
-            best = max(
-                (cell["speedup_vs_reference"] for cell in payload["sharding"]),  # type: ignore[index]
-                default=0.0,
-            )
-            if best < args.min_shard_speedup:
-                print(
-                    f"regression gate FAILED: best shard speedup {best:.2f}x "
-                    f"below minimum {args.min_shard_speedup}x",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                f"regression gate passed: best shard speedup {best:.2f}x "
-                f">= {args.min_shard_speedup}x",
-                file=sys.stderr,
-            )
     if args.max_overhead_pct is not None:
         worst = payload["telemetry_overhead"]["overhead_pct"]  # type: ignore[index]
         if worst > args.max_overhead_pct:

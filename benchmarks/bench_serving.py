@@ -9,9 +9,7 @@ Times the two serving hot paths in isolation:
   ``indexed`` engine (the per-domain qualification indexes) at every
   size and under the O(n log n) ``reference`` engine on the smaller
   pools, so the payload documents both the scaling cliff the index
-  removed and the fact that it is gone; ``least_loaded`` is timed under
-  its ``heap`` engine and the O(1) ``bucket`` queue, whose flatness
-  across pool sizes is the bucket's complexity-class evidence;
+  removed and the fact that it is gone;
 * **aggregation** — per-answer ``add()`` latency of the streaming
   majority vote and the incremental Dawid-Skene, plus the cost of the
   exact EM replay (``converge``);
@@ -33,7 +31,7 @@ complexity class.
 
 Before any timing, every multi-engine policy has its engines routed side
 by side on a churning pool and the run aborts on the first divergent
-pick — timing a broken index (or bucket queue) is worthless.
+pick — timing a broken index is worthless.
 
 Run it as a script (the pytest suite does not collect it):
 
@@ -334,7 +332,7 @@ def _affinity_ratios(cells: List[Dict[str, object]]) -> Dict[str, object]:
     """Indexed-affinity throughput as a fraction of least_loaded, per pool size.
 
     Compares the production engines only (each policy's declared default) —
-    alternate engines like ``reference`` and ``bucket`` have their own cells
+    alternate engines like ``reference`` have their own cells
     but stay out of the headline ratio.
     """
     by_size: Dict[int, Dict[str, float]] = {}

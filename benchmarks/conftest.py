@@ -28,10 +28,9 @@ SWEEP_CONFIG = ExperimentConfig(n_repetitions=1, base_seed=7)
 def bench_environment(**extra: object) -> Dict[str, object]:
     """The environment block every benchmark payload records.
 
-    ``cpu_count`` is mandatory: parallel cells (runner shards, marketplace
-    campaign shards) are meaningless without knowing how many cores the
-    numbers were taken on, and the shard-speedup gate soft-skips below
-    four.  Extra keyword pairs are merged on top.
+    ``cpu_count`` is mandatory: parallel cells (runner shards) are
+    meaningless without knowing how many cores the numbers were taken on.
+    Extra keyword pairs are merged on top.
     """
     import numpy as np
 

@@ -452,8 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "ranking engine for routers that support one (forwarded only to the "
             "router that understands it): domain_affinity ships 'indexed' / "
-            "'reference', least_loaded ships 'heap' / 'bucket'; every engine "
-            "pair produces byte-identical traces (default indexed)"
+            "'reference', which produce byte-identical traces (default indexed)"
         ),
     )
     serve_parser.add_argument(
@@ -549,23 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
             "ranking engine shared by every campaign's router, forwarded only "
             "where understood (default indexed)"
         ),
-    )
-    marketplace_parser.add_argument(
-        "--tick-engine",
-        choices=("reference", "sharded"),
-        default="reference",
-        help=(
-            "tick execution engine: 'sharded' partitions campaigns across "
-            "worker processes and merges at a serial commit phase; journal "
-            "bytes and final state are identical to 'reference' (the default)"
-        ),
-    )
-    marketplace_parser.add_argument(
-        "--n-shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="campaign shards for --tick-engine sharded (default 1)",
     )
     marketplace_parser.add_argument(
         "--arrival-rate", type=float, default=0.5, help="expected worker arrivals per tick (default 0.5)"
@@ -837,8 +819,6 @@ def _run_marketplace(args: argparse.Namespace) -> int:
                 votes_per_task=args.votes,
                 tasks_per_tick=args.tasks_per_tick,
                 total_tasks=args.total_tasks,
-                tick_engine=args.tick_engine,
-                n_shards=args.n_shards,
             ),
             churn=ChurnConfig(arrival_rate=args.arrival_rate, departure_rate=args.departure_rate),
             journal_path=args.journal,

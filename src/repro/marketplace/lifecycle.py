@@ -91,6 +91,19 @@ class CampaignSpec:
         }
 
 
+class _SharedLoadForwarder:
+    """Pool listener passing load events on to the marketplace's other pools."""
+
+    __slots__ = ("_marketplace", "_pool")
+
+    def __init__(self, marketplace, pool: ServingPool) -> None:
+        self._marketplace = marketplace
+        self._pool = pool
+
+    def on_load_changed(self, worker_id: str) -> None:
+        self._marketplace.forward_load_changed(self._pool, worker_id)
+
+
 class CampaignHandle:
     """One campaign's lifecycle, driven one tick at a time.
 
@@ -178,8 +191,8 @@ class CampaignHandle:
         assert self.service is not None
         # Deferred-ready tasks (completed by a departure's invalidation)
         # finalise at one pinned point — the start of the next serving
-        # step — so their drift demotions land identically under the
-        # serial and sharded tick engines.
+        # step — so their drift demotions land at a fixed place in the
+        # tick order.
         self.service.finalize_ready()
         event["delivered"] = self._deliver_due_answers(tick)
         submitted, stalled = self._submit_tasks(tick)
@@ -243,6 +256,11 @@ class CampaignHandle:
             telemetry=getattr(self, "_telemetry", None),
             defer_invalidation_finalize=True,
         )
+        # Shared workers' load changes made through this pool must reach
+        # the other campaigns' pools too — when anything there tracks load
+        # (every campaign builds the same router, so this pool tells).
+        if self.pool.has_listeners("on_load_changed"):
+            self.pool.add_listener(_SharedLoadForwarder(self._marketplace, self.pool))
 
     def _deliver_due_answers(self, tick: int) -> List[List[object]]:
         assert self.service is not None

@@ -43,7 +43,7 @@ from repro.marketplace.lifecycle import CampaignHandle, CampaignPhase, CampaignS
 from repro.campaign import SelectionManifest
 from repro.obs.timing import perf_counter
 from repro.platform.tasks import Task
-from repro.serving.pool import ServingWorker
+from repro.serving.pool import ServingPool, ServingWorker
 from repro.serving.qualification import (
     QualificationPolicy,
     QualificationTier,
@@ -56,44 +56,6 @@ from repro.workers.population import PopulationConfig, sample_learning_populatio
 
 #: ``id_prefix`` of workers minted by the arrival sampler.
 ARRIVAL_PREFIX = "mkt"
-
-#: Valid ``tick_engine`` values, default first.
-TICK_ENGINES = ("reference", "sharded")
-
-
-def simulate_answer(
-    answer_seed: int,
-    worker_id: str,
-    campaign: str,
-    task: Task,
-    *,
-    behavior,
-    target_domain: Optional[str],
-    accuracies: Mapping[str, float],
-    exposure_offset: float,
-    answer_count: int,
-) -> bool:
-    """One worker's answer to one task, as a pure function of its inputs.
-
-    The draw comes from a counter-based stream keyed by
-    ``(answer_seed, worker_id, campaign)`` at offset ``answer_count``, so
-    any process that knows a worker's registered accuracy profile and its
-    per-campaign answer count reproduces the exact same answer — the
-    contract the sharded tick engine relies on to simulate answers inside
-    shard processes without consulting the parent's
-    :class:`Marketplace`.
-    """
-    if behavior is not None and task.domain == target_domain:
-        accuracy = float(behavior.accuracy_at(exposure_offset + answer_count))
-    else:
-        accuracy = accuracies.get(task.domain, 0.5)
-    draw = counter_uniforms(
-        stream_seeds(answer_seed, token_hashes([worker_id]), int(token_hashes([campaign])[0])),
-        1,
-        offset=answer_count,
-    )[0, 0]
-    correct = bool(draw < accuracy)
-    return bool(task.gold_label) if correct else not bool(task.gold_label)
 
 
 @dataclass(frozen=True)
@@ -124,16 +86,6 @@ class MarketplaceConfig:
     total_tasks:
         Length of each campaign's working-task stream (``None`` = the
         dataset's full working bank).
-    tick_engine:
-        ``"reference"`` (the serial tick loop) or ``"sharded"`` (the
-        two-phase parallel engine of :mod:`repro.marketplace.sharding`).
-        Both produce byte-identical journals and final state; like
-        ``n_shards`` it is an execution knob, deliberately excluded from
-        :meth:`to_dict` so the journal fingerprint — and therefore resume
-        compatibility — is engine-independent.
-    n_shards:
-        Campaign shards of the ``sharded`` engine (ignored by
-        ``reference``).
     """
 
     router: str = "least_loaded"
@@ -151,17 +103,8 @@ class MarketplaceConfig:
     requalify_ticks: int = 1
     max_reselections: int = 2
     total_tasks: Optional[int] = None
-    tick_engine: str = "reference"
-    n_shards: int = 1
 
     def __post_init__(self) -> None:
-        if self.tick_engine not in TICK_ENGINES:
-            raise ValueError(
-                f"unknown tick engine {self.tick_engine!r}; "
-                f"choose from: {', '.join(TICK_ENGINES)}"
-            )
-        if self.n_shards <= 0:
-            raise ValueError("n_shards must be positive")
         if self.tasks_per_tick <= 0:
             raise ValueError("tasks_per_tick must be positive")
         if self.answer_delay < 0:
@@ -244,6 +187,7 @@ class Marketplace:
         self._arrival_index = 0
         self._answer_seed = derive_seed(self._seed, "marketplace", "answers")
         self._prestudy_seed = derive_seed(self._seed, "marketplace", "prestudy")
+        self._forwarding_load = False
         self.arrivals_admitted = 0
         self.arrivals_rejected = 0
         self.departures = 0
@@ -466,28 +410,46 @@ class Marketplace:
         Answer streams are keyed per ``(campaign, worker)`` — the stream
         seed mixes in the campaign name and the draw counter advances per
         campaign — so one campaign's answer schedule never perturbs
-        another's.  That independence is what lets the sharded tick engine
-        draw answers for different campaigns in parallel processes and
-        still match the serial engine bit for bit.  Target-domain accuracy
-        follows the worker's behaviour curve at its current per-campaign
-        exposure when one is registered (so drifters decay and learners
-        improve mid-serving); other domains use the static registered
-        accuracy, 0.5 when unknown.
+        another's.  Target-domain accuracy follows the worker's behaviour
+        curve at its current per-campaign exposure when one is registered
+        (so drifters decay and learners improve mid-serving); other domains
+        use the static registered accuracy, 0.5 when unknown.
         """
         worker = self._workers[worker_id]
         count = worker.answer_counts.get(campaign, 0)
         worker.answer_counts[campaign] = count + 1
-        return simulate_answer(
-            self._answer_seed,
-            worker_id,
-            campaign,
-            task,
-            behavior=worker.behavior,
-            target_domain=worker.target_domain,
-            accuracies=worker.accuracies,
-            exposure_offset=worker.exposure_offset,
-            answer_count=count,
-        )
+        if worker.behavior is not None and task.domain == worker.target_domain:
+            accuracy = float(worker.behavior.accuracy_at(worker.exposure_offset + count))
+        else:
+            accuracy = worker.accuracies.get(task.domain, 0.5)
+        draw = counter_uniforms(
+            stream_seeds(self._answer_seed, token_hashes([worker_id]), int(token_hashes([campaign])[0])),
+            1,
+            offset=count,
+        )[0, 0]
+        correct = bool(draw < accuracy)
+        return bool(task.gold_label) if correct else not bool(task.gold_label)
+
+    def forward_load_changed(self, source: ServingPool, worker_id: str) -> None:
+        """Re-announce a load change on every other serving pool holding the worker.
+
+        Pools share :class:`ServingWorker` objects, so a vote charged or
+        released through ``source`` changes the worker's load in every
+        other campaign's pool too.  Without the announcement a
+        ``least_loaded`` heap elsewhere holds a key that no longer matches
+        the worker, drops it as stale, and stalls with the worker idle.
+        The guard stops the re-announced events from bouncing back.
+        """
+        if self._forwarding_load:
+            return
+        self._forwarding_load = True
+        try:
+            for handle in self._handles:
+                pool = handle.pool
+                if pool is not None and pool is not source and handle.phase is CampaignPhase.SERVING:
+                    pool.notify_load_changed(worker_id)
+        finally:
+            self._forwarding_load = False
 
     def requalify(self, handle: CampaignHandle, tick: int) -> List[ServingWorker]:
         """Re-qualify a campaign's candidates from live serving evidence.
@@ -615,7 +577,6 @@ class MarketplaceOrchestrator:
         population: Optional[PopulationConfig] = None,
         seed: int = 0,
         telemetry=None,
-        shard_executor: str = "process",
     ) -> None:
         specs = list(specs)
         if not specs:
@@ -635,10 +596,6 @@ class MarketplaceOrchestrator:
         self._metrics = (
             _OrchestratorMetrics(self._telemetry.registry) if self._telemetry is not None else None
         )
-        # How the sharded engine runs its shards ("process" forks one
-        # process per shard, "inline" runs them in-process). An execution
-        # detail like telemetry: never part of the config fingerprint.
-        self._shard_executor = shard_executor
 
     # ------------------------------------------------------------------ #
     @property
@@ -729,31 +686,15 @@ class MarketplaceOrchestrator:
         if tick_batch <= 0:
             raise ValueError("tick_batch must be positive")
         start = perf_counter()
-        if self._config.tick_engine == "sharded":
-            # Imported lazily: sharding imports this module at load time.
-            from repro.marketplace.sharding import ShardedTickEngine
-
-            self._handles = []
-            engine = ShardedTickEngine(self, executor=self._shard_executor)
-            self._marketplace = engine.marketplace
-            try:
-                self._journal_loop(engine.tick, n_ticks, tick_batch, resume)
-                campaigns = engine.finalize()
-            finally:
-                engine.close()
-            elapsed_s = perf_counter() - start
-            if self._metrics is not None:
-                self._metrics.elapsed.set(elapsed_s)
-            return self._report(n_ticks, elapsed_s, campaigns=campaigns)
         self._setup()
-        self._journal_loop(self._tick, n_ticks, tick_batch, resume)
+        self._journal_loop(n_ticks, tick_batch, resume)
         elapsed_s = perf_counter() - start
         if self._metrics is not None:
             self._metrics.elapsed.set(elapsed_s)
         return self._report(n_ticks, elapsed_s)
 
-    def _journal_loop(self, tick_fn, n_ticks: int, tick_batch: int, resume: bool) -> None:
-        """Drive ``tick_fn`` over ``n_ticks`` with replay + batched journaling."""
+    def _journal_loop(self, n_ticks: int, tick_batch: int, resume: bool) -> None:
+        """Drive :meth:`_tick` over ``n_ticks`` with replay + batched journaling."""
         replayed: List[Dict[str, object]] = []
         if self._journal is not None:
             if resume:
@@ -764,7 +705,7 @@ class MarketplaceOrchestrator:
             raise ValueError("resume=True requires a journal path")
         buffer: List[Dict[str, object]] = []
         for tick in range(n_ticks):
-            record = tick_fn(tick)
+            record = self._tick(tick)
             if tick < len(replayed):
                 if encode_record(record) != encode_record(replayed[tick]):
                     raise JournalCorruptionError(
@@ -788,19 +729,12 @@ class MarketplaceOrchestrator:
             self._metrics.journal_events.inc(len(buffer))
             self._metrics.journal_flushes.inc()
 
-    def _report(
-        self,
-        n_ticks: int,
-        elapsed_s: float,
-        campaigns: Optional[List[Dict[str, object]]] = None,
-    ) -> MarketplaceReport:
+    def _report(self, n_ticks: int, elapsed_s: float) -> MarketplaceReport:
         assert self._marketplace is not None
         present = self._marketplace.present_ids()
-        if campaigns is None:
-            campaigns = [handle.summary() for handle in self._handles]
         return MarketplaceReport(
             n_ticks=n_ticks,
-            campaigns=campaigns,
+            campaigns=[handle.summary() for handle in self._handles],
             marketplace={
                 "arrivals_admitted": self._marketplace.arrivals_admitted,
                 "arrivals_rejected": self._marketplace.arrivals_rejected,
@@ -814,8 +748,6 @@ class MarketplaceOrchestrator:
 
 __all__ = [
     "ARRIVAL_PREFIX",
-    "TICK_ENGINES",
-    "simulate_answer",
     "MarketplaceConfig",
     "MarketWorker",
     "Marketplace",

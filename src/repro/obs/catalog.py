@@ -261,36 +261,6 @@ METRIC_CATALOG: Tuple[MetricSpec, ...] = (
         module="repro.marketplace.orchestrator",
         volatile=True,
     ),
-    # --- marketplace sharding (repro.marketplace.sharding) ------------- #
-    MetricSpec(
-        name="marketplace.shard.ticks",
-        kind="counter",
-        help="campaign steps executed in shard parallel phases",
-        labels=(),
-        module="repro.marketplace.sharding",
-    ),
-    MetricSpec(
-        name="marketplace.shard.merge_conflicts",
-        kind="counter",
-        help="commit-phase routing stalls (shared-worker capacity conflicts)",
-        labels=(),
-        module="repro.marketplace.sharding",
-    ),
-    MetricSpec(
-        name="marketplace.shard.reroutes",
-        kind="counter",
-        help="replacement votes re-routed deterministically at commit",
-        labels=(),
-        module="repro.marketplace.sharding",
-    ),
-    MetricSpec(
-        name="marketplace.shard.phase_seconds",
-        kind="gauge",
-        help="wall-clock seconds of the last tick's phases (volatile)",
-        labels=("phase",),
-        module="repro.marketplace.sharding",
-        volatile=True,
-    ),
 )
 
 #: name -> spec for quick membership checks.

@@ -41,7 +41,6 @@ from repro.serving.routing import (
     make_router,
     register_router,
     resolve_router_name,
-    router_accepts,
     router_exists,
     router_names,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "pool_event_noop",
     "register_router",
     "resolve_router_name",
-    "router_accepts",
     "router_exists",
     "router_names",
     "working_task_stream",

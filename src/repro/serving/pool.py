@@ -25,7 +25,9 @@ listeners registered via :meth:`add_listener` receive
     :meth:`notify_qualification_changed`);
 ``on_load_changed(worker_id)``
     an in-flight slot was charged or released (:meth:`begin_assignment`,
-    :meth:`complete_assignment`, :meth:`release_assignment`).
+    :meth:`complete_assignment`, :meth:`release_assignment`, or through
+    another pool sharing the worker, announced via
+    :meth:`notify_load_changed`).
 
 so a router can never silently route off stale internal state.  Hooks a
 listener does not define are skipped; hooks decorated with
@@ -254,6 +256,10 @@ class ServingPool:
                     callbacks.append(callback)
             self._hooks[hook] = callbacks
 
+    def has_listeners(self, hook: str) -> bool:
+        """Whether any subscribed listener handles ``hook`` (no-op hooks excluded)."""
+        return bool(self._hooks[hook])
+
     def _notify(self, hook: str, *args: str) -> None:
         for callback in self._hooks[hook]:
             callback(*args)
@@ -388,6 +394,17 @@ class ServingPool:
         """
         if worker_id in self._workers:
             self._notify("on_qualification_changed", worker_id, domain)
+
+    def notify_load_changed(self, worker_id: str) -> None:
+        """Announce a load change made through another pool on a member worker.
+
+        The load counterpart of :meth:`notify_qualification_changed`: a
+        vote charged or released through one marketplace pool changes the
+        shared worker's load in every pool that holds it.  Unknown workers
+        are ignored.
+        """
+        if worker_id in self._workers:
+            self._notify("on_load_changed", worker_id)
 
     # ------------------------------------------------------------------ #
     def load_snapshot(self) -> Dict[str, Dict[str, int]]:

@@ -13,9 +13,10 @@ concurrency cap by charging assignments through the pool):
 ``round_robin``
     Cycle through the eligible workers in pool order.
 ``least_loaded``
-    A lazy min-heap over ``(active, assigned_total, worker_id)``; the
-    worker with the fewest in-flight assignments wins, lifetime assignment
-    count breaks ties, worker id makes it total.
+    A min-heap over ``(active, assigned_total, worker_id)``, re-keyed from
+    the pool's load events; the worker with the fewest in-flight
+    assignments wins, lifetime assignment count breaks ties, worker id
+    makes it total.
 ``domain_affinity``
     Prefer fully qualified workers on the task's domain, ranked by the
     pinned affinity key ``(-estimate, worker_id)``; spill into the
@@ -323,30 +324,6 @@ class RouterRegistry:
             known.update(self.engines(name))
         return sorted(known)
 
-    def factory_accepts(self, name: str, param: str) -> bool:
-        """Whether ``name``'s factory accepts the keyword argument ``param``.
-
-        Lets callers forward optional configuration (the serving layer's
-        ``engine=``) only to routers that understand it, so third-party
-        routers without the knob keep working.  Factories whose signature
-        cannot be introspected are assumed to accept everything.
-        """
-        canonical = self.resolve(name)
-        factory = self._factories[canonical]
-        try:
-            signature = inspect.signature(factory)
-        except (TypeError, ValueError):  # builtins / C-level factories
-            return True
-        for parameter in signature.parameters.values():
-            if parameter.kind is inspect.Parameter.VAR_KEYWORD:
-                return True
-            if parameter.name == param and parameter.kind in (
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                inspect.Parameter.KEYWORD_ONLY,
-            ):
-                return True
-        return False
-
     def create(self, name: str, pool: ServingPool, **config: object) -> BaseRouter:
         """Build the router registered under ``name`` for ``pool``."""
         canonical = self.resolve(name)
@@ -393,11 +370,6 @@ def router_exists(name: str) -> bool:
 def resolve_router_name(name: str) -> str:
     """Canonical registered name for ``name`` (follows aliases, fixes case)."""
     return GLOBAL_ROUTER_REGISTRY.resolve(name)
-
-
-def router_accepts(name: str, param: str) -> bool:
-    """Whether the registered router ``name`` accepts keyword ``param``."""
-    return GLOBAL_ROUTER_REGISTRY.factory_accepts(name, param)
 
 
 def router_engines(name: str) -> Tuple[str, ...]:
@@ -460,183 +432,67 @@ class LeastLoadedRouter(BaseRouter):
     """Least-loaded policy: fewest in-flight assignments wins.
 
     Per vote the minimal ``(active, assigned_total, worker_id)`` key among
-    eligible workers is picked.  Two engines realise that order:
+    eligible workers is picked from one min-heap over that key.
 
-    ``heap`` (default)
-        One min-heap over the full key — O(log n) per mutation,
-        cache-hostile at 100k workers.
-    ``bucket``
-        A bucket queue over the discrete ``active`` load levels (bounded
-        by ``max_concurrent``), one small ``(assigned_total, worker_id)``
-        min-heap per level.  The global O(log n) heap churn collapses to
-        O(log b) on the tiny per-level heaps, flattening throughput
-        across pool sizes.
-
-    Both engines are re-keyed **eagerly** from the pool's load events:
-    every ``begin``/``complete``/``release`` files the worker's current
-    key, leaving the old entry behind as garbage the route scan discards
-    (the key mismatch gives it away).  Eager re-keying is what makes the
+    The heap is re-keyed **eagerly** from the pool's load events: every
+    ``begin``/``complete``/``release`` files the worker's current key,
+    leaving the old entry behind as garbage the route scan discards (the
+    key mismatch gives it away).  Eager re-keying is what makes the
     documented order *true*: a lazy scheme that only re-keys at pop time
     would leave a worker whose key **decreased** (a completed assignment)
-    buried at its stale position while a worse key routes first.  It is
-    also what makes the two engines provably identical — each pop yields
-    the global minimum live key, keys are unique (the worker id is part
-    of the key), and the eligibility checks are the same code path (held
-    in lockstep by ``tests/test_routing_equivalence.py``).
+    buried at its stale position while a worse key routes first.  In a
+    marketplace a shared worker's load also changes through other
+    campaigns' pools; those changes arrive as forwarded load events
+    (:meth:`ServingPool.notify_load_changed`).
 
     Membership changes arrive on the same listener protocol: arrivals
     are pushed via :meth:`on_worker_added`, and entries for departed
     workers are discarded at pop time by a membership check.  Garbage —
     from load churn and departures alike — is bounded by compaction:
     once entries outnumber live workers 2:1 (plus a small floor) the
-    structure is rebuilt from the pool in one linear sweep, so a long
-    churny marketplace run cannot grow it without bound.  Compaction
-    cannot change routing output: the pop sequence is the sorted order
-    of the live keys regardless of internal layout.
+    heap is rebuilt from the pool in one linear sweep, so a long churny
+    marketplace run cannot grow it without bound.  Compaction cannot
+    change routing output: the pop sequence is the sorted order of the
+    live keys regardless of internal layout.
     """
 
     name = "least_loaded"
 
-    #: Valid ``engine=`` values, default first.
-    ENGINES = ("heap", "bucket")
-
-    def __init__(
-        self,
-        pool: ServingPool,
-        min_tier: QualificationTier = QualificationTier.FALLBACK,
-        engine: str = "heap",
-    ) -> None:
-        if engine not in self.ENGINES:
-            raise ValueError(
-                f"unknown routing engine {engine!r}; expected one of {', '.join(self.ENGINES)}"
-            )
-        self._engine = engine
-        self._heap: Optional[List[Tuple[int, int, str]]] = None
-        self._buckets: Optional[List[List[Tuple[int, str]]]] = None
-        self._entries = 0
+    def __init__(self, pool: ServingPool, min_tier: QualificationTier = QualificationTier.FALLBACK) -> None:
         # Bound as an *instance* attribute before the base class
         # subscribes us: the pool's hook pre-binding then dispatches load
         # events here (the class-level hook is a marked no-op the pool
         # would skip).
         self.on_load_changed = self._file_live_key  # type: ignore[method-assign]
         super().__init__(pool, min_tier)
-        if engine == "heap":
-            self._heap = [
-                (worker.active, worker.assigned_total, worker.worker_id) for worker in pool.workers
-            ]
-            heapq.heapify(self._heap)
-        else:
-            self._buckets = []
-            for worker in pool.workers:
-                self._bucket_push(worker.active, worker.assigned_total, worker.worker_id)
-        self._dead = 0
+        self._heap: List[Tuple[int, int, str]] = []
+        self._rebuild()
 
-    @property
-    def engine(self) -> str:
-        """The active ranking engine (``heap`` or ``bucket``)."""
-        return self._engine
+    def _rebuild(self) -> None:
+        """File every member's live key into a fresh heap (drops all garbage)."""
+        self._heap = [
+            (worker.active, worker.assigned_total, worker.worker_id) for worker in self._pool.workers
+        ]
+        heapq.heapify(self._heap)
 
     def on_worker_added(self, worker_id: str) -> None:
-        worker = self._pool[worker_id]
-        if self._heap is not None:
-            heapq.heappush(self._heap, (worker.active, worker.assigned_total, worker_id))
-        else:
-            self._bucket_push(worker.active, worker.assigned_total, worker_id)
-
-    def on_worker_removed(self, worker_id: str) -> None:
-        # The departed worker's entry is now garbage; it is either popped
-        # and discarded lazily (decrementing this counter) or swept by
-        # _maybe_compact once garbage outnumbers live entries.
-        self._dead += 1
-
-    # -- shared plumbing ------------------------------------------------- #
-    def _bucket_push(self, active: int, assigned: int, worker_id: str) -> None:
-        buckets = self._buckets
-        assert buckets is not None
-        while len(buckets) <= active:
-            buckets.append([])
-        heapq.heappush(buckets[active], (assigned, worker_id))
-        self._entries += 1
+        self._file_live_key(worker_id)
 
     def _file_live_key(self, worker_id: str) -> None:
-        # Eager re-keying (bound as this instance's on_load_changed):
-        # every load mutation files the worker's current key, leaving the
-        # old entry behind as garbage that the route scan discards (the
-        # key mismatch gives it away).
+        # Eager re-keying (bound as this instance's on_load_changed).
         worker = self._pool[worker_id]
-        if self._heap is not None:
-            heapq.heappush(self._heap, (worker.active, worker.assigned_total, worker_id))
-        else:
-            self._bucket_push(worker.active, worker.assigned_total, worker_id)
+        heapq.heappush(self._heap, (worker.active, worker.assigned_total, worker_id))
 
     def _maybe_compact(self) -> None:
         # Garbage grows with *load churn*, not just departures: each
         # begin/complete/release leaves one stale key behind.  Once
-        # entries outnumber live workers 2:1 the structure is rebuilt in
-        # one linear sweep — amortised O(1) per push.
-        if self._heap is not None:
-            if len(self._heap) <= 2 * len(self._pool) + 16:
-                return
-            self._heap = [
-                (worker.active, worker.assigned_total, worker.worker_id)
-                for worker in self._pool.workers
-            ]
-            heapq.heapify(self._heap)
-            self._dead = 0
-            return
-        if self._entries <= 2 * len(self._pool) + 16:
-            return
-        self._buckets = []
-        self._entries = 0
-        for worker in self._pool.workers:
-            self._bucket_push(worker.active, worker.assigned_total, worker.worker_id)
-        self._dead = 0
-
-    def _route_bucket(self, domain: str, n_votes: int) -> List[str]:
-        buckets = self._buckets
-        assert buckets is not None
-        chosen: List[str] = []
-        held_back: List[Tuple[int, int, str]] = []
-        level = 0
-        while level < len(buckets) and len(chosen) < n_votes:
-            bucket = buckets[level]
-            if not bucket:
-                # A begin_assignment during this scan only pushes keys at
-                # level + 1 or deeper, so the walk never has to back up.
-                level += 1
-                continue
-            assigned, worker_id = heapq.heappop(bucket)
-            self._entries -= 1
-            worker = self._pool.get(worker_id)
-            if worker is None:
-                # Garbage entry for a departed worker — drop it for good.
-                self._dead = max(0, self._dead - 1)
-                continue
-            if (worker.active, worker.assigned_total) != (level, assigned):
-                # Stale key: the live key was already filed by the load
-                # hook, so the old entry is pure garbage.
-                continue
-            if worker_id in chosen:
-                held_back.append((level, assigned, worker_id))
-                continue
-            if worker.tier_on(domain) < self._min_tier or not worker.has_capacity:
-                held_back.append((level, assigned, worker_id))
-                continue
-            # Charging moves the worker to the next load level (the load
-            # hook files the new key there); the entry just popped is
-            # consumed, so the worker cannot be picked twice.
-            self._pool.begin_assignment(worker_id)
-            chosen.append(worker_id)
-        for level0, assigned, worker_id in held_back:
-            self._bucket_push(level0, assigned, worker_id)
-        if not chosen:
-            raise NoEligibleWorkersError(f"no eligible worker with capacity on domain {domain!r}")
-        return chosen
+        # entries outnumber live workers 2:1 the heap is rebuilt in one
+        # linear sweep — amortised O(1) per push.
+        if len(self._heap) > 2 * len(self._pool) + 16:
+            self._rebuild()
 
     def _route(self, domain: str, n_votes: int) -> List[str]:
         self._maybe_compact()
-        if self._heap is None:
-            return self._route_bucket(domain, n_votes)
         chosen: List[str] = []
         held_back: List[Tuple[int, int, str]] = []
         while self._heap and len(chosen) < n_votes:
@@ -644,7 +500,6 @@ class LeastLoadedRouter(BaseRouter):
             worker = self._pool.get(worker_id)
             if worker is None:
                 # Garbage entry for a departed worker — drop it for good.
-                self._dead = max(0, self._dead - 1)
                 continue
             if (active, assigned) != (worker.active, worker.assigned_total):
                 # Stale key: the live key was already filed by the load
@@ -799,7 +654,6 @@ __all__ = [
     "router_names",
     "router_exists",
     "resolve_router_name",
-    "router_accepts",
     "router_engines",
     "known_routing_engines",
 ]

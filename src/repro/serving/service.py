@@ -62,12 +62,11 @@ class ServingConfig:
         Registered routing-policy name (``repro.serving.router_names()``).
     routing_engine:
         Ranking engine for routers that declare one: ``domain_affinity``
-        understands ``"indexed"`` / ``"reference"``, ``least_loaded``
-        understands ``"heap"`` / ``"bucket"``.  Paired engines produce
-        byte-identical traces; the knob exists so the equivalence can be
-        checked and the old complexity reproduced.  The value is forwarded
-        only to the router whose ``ENGINES`` declares it — any other
-        router keeps its own default engine.
+        understands ``"indexed"`` / ``"reference"``.  Paired engines
+        produce byte-identical traces; the knob exists so the equivalence
+        can be checked and the old complexity reproduced.  The value is
+        forwarded only to the router whose ``ENGINES`` declares it — any
+        other router ignores it.
     votes_per_task:
         Distinct workers asked per working task.
     max_concurrent:
@@ -308,19 +307,18 @@ class AnnotationService:
         self._pool = pool
         self._config = config or ServingConfig()
         self._answer_oracle = answer_oracle
-        # With deferral on (the marketplace engines), a task whose
-        # remaining votes are all in after an invalidation stays pending
-        # until finalize_ready() drains it at the next campaign step —
-        # pinning drift demotions to one point in the tick order that the
-        # serial and sharded engines can both reproduce.
+        # With deferral on (the marketplace), a task whose remaining votes
+        # are all in after an invalidation stays pending until
+        # finalize_ready() drains it at the next campaign step — pinning
+        # drift demotions to one fixed point in the tick order.
         self._defer_invalidation_finalize = bool(defer_invalidation_finalize)
         self._track_gold = track_gold
         self._gold_labels: Dict[str, bool] = {}
         router_config: Dict[str, object] = {}
         # The engine knob is forwarded only to the router that declares
         # the configured value in its ENGINES — so one ServingConfig can
-        # carry "indexed" while routing through least_loaded (which then
-        # simply keeps its own default engine).
+        # carry "indexed" while routing through least_loaded (which has
+        # no engines).
         if self._config.routing_engine in router_engines(self._config.router):
             router_config["engine"] = self._config.routing_engine
         self._router = make_router(self._config.router, pool, **router_config)
@@ -565,48 +563,6 @@ class AnnotationService:
                 self._finalize(task_id, pending)
                 finalized.append(task_id)
         return finalized
-
-    def adopt_assignment(self, task: Task, worker_ids: Sequence[str]) -> TaskAssignment:
-        """Register an externally routed assignment (no routing, no budget).
-
-        The sharded marketplace engine routes at the parent's commit phase
-        and ships the chosen workers to the shard, which adopts them here:
-        the in-flight charges, the pending record and the spend accounting
-        land exactly as :meth:`submit` would have left them.
-        """
-        if task.task_id in self._pending:
-            raise ValueError(f"task {task.task_id!r} is already in flight")
-        for worker_id in worker_ids:
-            self._pool.begin_assignment(worker_id)
-        self._spent_assignments += len(worker_ids)
-        if self._track_gold:
-            self._gold_labels[task.task_id] = task.gold_label
-        assignment = TaskAssignment(task_id=task.task_id, domain=task.domain, worker_ids=tuple(worker_ids))
-        self._assignments.append(assignment)
-        self._pending[task.task_id] = _PendingTask(task=task, expected=assignment.worker_ids)
-        return assignment
-
-    def apply_invalidation_record(self, record: Dict[str, object]) -> None:
-        """Replay one :meth:`invalidate_worker` record onto this service.
-
-        The sharded engine's parent computes invalidations (including the
-        replacement routing) against the authoritative shared pool; the
-        shard replays the record here so its pending state, in-flight
-        charges and spend stay in lockstep — without consulting a router.
-        """
-        task_id = str(record["task_id"])
-        pending = self._pending[task_id]
-        worker_id = str(record["worker_id"])
-        self._pool.release_assignment(worker_id)
-        self._spent_assignments -= 1
-        replacements = [str(replacement) for replacement in record["replacements"]]
-        for replacement in replacements:
-            self._pool.begin_assignment(replacement)
-        self._spent_assignments += len(replacements)
-        pending.expected = tuple(w for w in pending.expected if w != worker_id) + tuple(replacements)
-        self._invalidations.append(dict(record))
-        if not pending.expected:
-            del self._pending[task_id]
 
     def abandon_pending(self) -> List[str]:
         """Drop every in-flight task, releasing its unanswered routing charges.

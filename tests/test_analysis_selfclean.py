@@ -39,8 +39,6 @@ def test_every_waiver_carries_a_reason():
 def test_waivers_are_the_known_intentional_sites():
     report = analyze(root=REPO_ROOT)
     waived_rules = {finding.rule_id for finding in report.suppressed}
-    # Timing reports (D002), the nested serving payload (C004) and the
-    # shard worker's error trampoline (S002: the traceback crosses the
-    # pipe and re-raises in the parent) are the only discipline
-    # exceptions this repo has signed off on.
-    assert waived_rules == {"D002", "C004", "S002"}
+    # Timing reports (D002) and the nested serving payload (C004) are
+    # the only discipline exceptions this repo has signed off on.
+    assert waived_rules == {"D002", "C004"}

@@ -257,26 +257,6 @@ class TestMarketplaceCommand:
         assert main(["marketplace", "--resume"]) == 2
         assert "--resume requires --journal" in capsys.readouterr().err
 
-    def test_sharded_engine_smoke_and_journal_parity(self, tmp_path, capsys):
-        # --tick-engine sharded --n-shards 2 runs and writes the exact
-        # journal bytes the reference engine writes.
-        base = ["marketplace", "--ticks", "20", "--total-tasks", "20"]
-        reference = tmp_path / "reference.jsonl"
-        sharded = tmp_path / "sharded.jsonl"
-        assert main(base + ["--journal", str(reference)]) == 0
-        capsys.readouterr()
-        assert main(base + ["--journal", str(sharded),
-                            "--tick-engine", "sharded", "--n-shards", "2", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["n_ticks"] == 20
-        assert sharded.read_bytes() == reference.read_bytes()
-
-    def test_bucket_routing_engine_accepted(self):
-        args = build_parser().parse_args(["marketplace", "--routing-engine", "bucket"])
-        assert args.routing_engine == "bucket"
-        args = build_parser().parse_args(["serve", "--routing-engine", "heap"])
-        assert args.routing_engine == "heap"
-
     def test_scenario_qualified_datasets_accepted(self):
         args = build_parser().parse_args(["marketplace", "--datasets", "s-1:DRIFT20", "S-2"])
         assert args.datasets == ["S-1:drift20", "S-2"]

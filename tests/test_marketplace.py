@@ -20,6 +20,7 @@ from repro.marketplace import (
     MarketplaceOrchestrator,
     encode_record,
 )
+from repro.marketplace.lifecycle import CampaignHandle
 from repro.serving.quality import DriftConfig
 
 
@@ -36,6 +37,67 @@ def make_orchestrator(journal_path=None, seed=7):
         journal_path=journal_path,
         seed=seed,
     )
+
+
+def stress_orchestrator(journal_path=None):
+    """Four least_loaded campaigns under heavy churn, bursts and drift.
+
+    Zero answer delay and a concurrency cap of 3 keep the shared workers
+    contended, so stalls, invalidations, re-selections and
+    re-qualification all land inside a short run.
+    """
+    specs = [
+        CampaignSpec(name=f"s{index}", dataset="S-1" if index % 2 == 0 else "S-2", k=4, seed=11 + index)
+        for index in range(4)
+    ]
+    config = MarketplaceConfig(
+        total_tasks=60,
+        tasks_per_tick=3,
+        answer_delay=0,
+        max_concurrent=3,
+        drift=DriftConfig(
+            alpha=0.3,
+            baseline_alpha=0.05,
+            min_observations=4,
+            demote_below=0.75,
+            drop_tolerance=0.05,
+            cooldown=3,
+        ),
+        reselect_fraction=0.3,
+        max_reselections=2,
+        requalify_ticks=2,
+        router="least_loaded",
+    )
+    return MarketplaceOrchestrator(
+        specs,
+        config=config,
+        churn=ChurnConfig(arrival_rate=1.5, departure_rate=0.12, bursts={5: 3, 20: 4}),
+        journal_path=journal_path,
+        seed=9,
+    )
+
+
+#: ``(orchestrator factory, ticks)`` pairs the journal-determinism tests run.
+def assert_journal_bytes_invariant_under_tick_batch_size(tmp_path, make, n_ticks):
+    digests = set()
+    for tick_batch in (1, 7, 64):
+        path = tmp_path / f"batch{tick_batch}.jsonl"
+        make(journal_path=path).run(n_ticks, tick_batch=tick_batch)
+        digests.add(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert len(digests) == 1
+
+
+def assert_resume_from_any_prefix_replays_to_identical_bytes(tmp_path, make, n_ticks):
+    full = tmp_path / "full.jsonl"
+    make(journal_path=full).run(n_ticks, tick_batch=5)
+    reference = full.read_bytes()
+    lines = reference.decode("utf-8").splitlines(keepends=True)
+    assert len(lines) == n_ticks + 1  # header + one record per tick
+    for keep in (1, 5, 17, len(lines)):
+        partial = tmp_path / f"keep{keep}.jsonl"
+        partial.write_text("".join(lines[:keep]), encoding="utf-8")
+        make(journal_path=partial).run(n_ticks, tick_batch=5, resume=True)
+        assert partial.read_bytes() == reference
 
 
 class TestChurn:
@@ -166,24 +228,16 @@ class TestLifecycle:
 
 class TestOrchestrator:
     def test_journal_bytes_invariant_under_tick_batch_size(self, tmp_path):
-        digests = set()
-        for tick_batch in (1, 7, 64):
-            path = tmp_path / f"batch{tick_batch}.jsonl"
-            make_orchestrator(journal_path=path).run(40, tick_batch=tick_batch)
-            digests.add(hashlib.sha256(path.read_bytes()).hexdigest())
-        assert len(digests) == 1
+        assert_journal_bytes_invariant_under_tick_batch_size(tmp_path, make_orchestrator, 40)
+
+    def test_journal_bytes_invariant_under_tick_batch_size_stress(self, tmp_path):
+        assert_journal_bytes_invariant_under_tick_batch_size(tmp_path, stress_orchestrator, 80)
 
     def test_resume_from_any_prefix_replays_to_identical_bytes(self, tmp_path):
-        full = tmp_path / "full.jsonl"
-        make_orchestrator(journal_path=full).run(40, tick_batch=5)
-        reference = full.read_bytes()
-        lines = reference.decode("utf-8").splitlines(keepends=True)
-        assert len(lines) == 41  # header + one record per tick
-        for keep in (1, 5, 17, len(lines)):
-            partial = tmp_path / f"keep{keep}.jsonl"
-            partial.write_text("".join(lines[:keep]), encoding="utf-8")
-            make_orchestrator(journal_path=partial).run(40, tick_batch=5, resume=True)
-            assert partial.read_bytes() == reference
+        assert_resume_from_any_prefix_replays_to_identical_bytes(tmp_path, make_orchestrator, 40)
+
+    def test_resume_from_any_prefix_replays_to_identical_bytes_stress(self, tmp_path):
+        assert_resume_from_any_prefix_replays_to_identical_bytes(tmp_path, stress_orchestrator, 80)
 
     def test_resume_after_torn_tail_replays_to_identical_bytes(self, tmp_path):
         full = tmp_path / "full.jsonl"
@@ -266,6 +320,38 @@ class TestOrchestrator:
         assert campaign["reselections"] >= 1
         assert campaign["phase"] == "done"
         assert campaign["n_labels"] == 120
+
+    def test_shared_workers_never_stall_least_loaded_while_idle(self, monkeypatch):
+        # Shared arrivals sit in several campaigns' least_loaded pools at
+        # once.  A load change made through one pool must reach the other
+        # pools' heaps, or those heaps drop the worker as stale and their
+        # campaign stalls although the worker is idle.
+        submit = CampaignHandle._submit_tasks
+        stalls = []
+
+        def probe(handle, tick):
+            submitted, stalled = submit(handle, tick)
+            if stalled:
+                stalls.append((tick, handle.spec.name, handle.pool.available(handle.target_domain)))
+            return submitted, stalled
+
+        monkeypatch.setattr(CampaignHandle, "_submit_tasks", probe)
+        specs = [
+            CampaignSpec(name=name, dataset=dataset, selector="us", k=5, seed=seed)
+            for name, dataset, seed in (("alpha", "S-1", 1), ("beta", "S-2", 2), ("gamma", "S-1", 3))
+        ]
+        orchestrator = MarketplaceOrchestrator(
+            specs,
+            config=MarketplaceConfig(router="least_loaded", total_tasks=120),
+            churn=ChurnConfig(arrival_rate=1.0, departure_rate=0.02),
+            seed=0,
+        )
+        orchestrator.run(100)
+        pools = [handle.pool for handle in orchestrator.handles]
+        assert any(
+            worker_id in other for worker_id in pools[0].worker_ids for other in pools[1:]
+        ), "the campaigns must share workers"
+        assert [stall for stall in stalls if stall[2]] == []
 
     def test_duplicate_campaign_names_rejected(self):
         spec = CampaignSpec(name="same", dataset="S-1", selector="us", k=5, seed=1)

@@ -32,7 +32,6 @@ from repro.serving.routing import (
     NoEligibleWorkersError,
     known_routing_engines,
     make_router,
-    router_accepts,
     router_engines,
 )
 from repro.serving.service import AnnotationService, ServingConfig
@@ -407,6 +406,15 @@ class TestPoolEventBus:
         pool.notify_qualification_changed("w0", DOMAIN)
         assert recorder.events == [("qualification", "w0", DOMAIN)]
 
+    def test_notify_load_changed_ignores_non_members(self):
+        pool = make_pool([0.9])
+        recorder = self.Recorder()
+        pool.add_listener(recorder)
+        pool.notify_load_changed("stranger")
+        assert recorder.events == []
+        pool.notify_load_changed("w0")
+        assert recorder.events == [("load", "w0")]
+
     def test_noop_marked_hooks_are_never_called(self):
         calls = []
 
@@ -420,6 +428,8 @@ class TestPoolEventBus:
 
         pool = make_pool([0.9])
         pool.add_listener(Listener())
+        assert not pool.has_listeners("on_load_changed")
+        assert pool.has_listeners("on_worker_added")
         pool.begin_assignment("w0")
         pool.add_worker(worker("w9"))
         assert calls == [("added", "w9")]
@@ -470,100 +480,6 @@ class TestLeastLoadedCompaction:
         # floor) past the next route: the compaction trigger fires first.
         router.route(DOMAIN, 1)
         assert len(router._heap) <= 2 * len(pool) + 16 + 1
-
-
-class TestBucketEngineEquivalence:
-    """``least_loaded``'s bucket queue realises the heap's exact order.
-
-    Same shape as the indexed-vs-reference suite above: per pick, per
-    report and end-to-end through marketplace churn, the ``bucket``
-    engine must be indistinguishable from ``heap`` — it only changes
-    how the ``(active, assigned_total, worker_id)`` order is realised.
-    """
-
-    @staticmethod
-    def paired(accuracies, max_concurrent=8):
-        from repro.serving.routing import LeastLoadedRouter
-
-        pools, routers = [], []
-        for engine in LeastLoadedRouter.ENGINES:
-            pool = make_pool(accuracies, max_concurrent=max_concurrent)
-            pools.append(pool)
-            routers.append(make_router("least_loaded", pool, engine=engine))
-        return pools, routers
-
-    def test_static_pool_picks_identical(self):
-        pools, (heap, bucket) = self.paired([0.9] * 6, max_concurrent=2)
-        for task in range(40):
-            picks = [heap.route(DOMAIN, 3), bucket.route(DOMAIN, 3)]
-            assert picks[0] == picks[1], f"engines diverged at task {task}"
-            settle(pools, picks)
-        assert pools[0].load_snapshot() == pools[1].load_snapshot()
-
-    def test_equivalence_under_churn_script(self):
-        pools, (heap, bucket) = self.paired([0.9] * 8)
-        script = TestLeastLoadedCompaction.churn_script
-        assert script(heap, pools[0]) == script(bucket, pools[1])
-        assert pools[0].load_snapshot() == pools[1].load_snapshot()
-
-    def test_route_excluding_identical(self):
-        pools, (heap, bucket) = self.paired([0.9] * 5, max_concurrent=2)
-        exclude = {"w0", "w3"}
-        picks = [
-            heap.route_excluding(DOMAIN, 2, exclude),
-            bucket.route_excluding(DOMAIN, 2, exclude),
-        ]
-        assert picks[0] == picks[1] == ["w1", "w2"]
-        assert pools[0].load_snapshot() == pools[1].load_snapshot()
-
-    def test_exhaustion_raised_identically(self):
-        pools, (heap, bucket) = self.paired([0.9, 0.8], max_concurrent=1)
-        for router in (heap, bucket):
-            router.route(DOMAIN, 2)  # saturate everyone
-            with pytest.raises(NoEligibleWorkersError):
-                router.route(DOMAIN, 1)
-
-    def test_bucket_garbage_stays_bounded_under_churn(self):
-        pool = make_pool([0.9] * 8)
-        router = make_router("least_loaded", pool, engine="bucket")
-        TestLeastLoadedCompaction.churn_script(router, pool)
-        # The compaction trigger fires before entries can outrun live
-        # workers 2:1 (plus the small constant floor).
-        router.route(DOMAIN, 1)
-        assert router._entries <= 2 * len(pool) + 16 + 1
-
-    def test_service_trace_byte_identical(self):
-        def run(engine):
-            pool = make_pool([0.9, 0.8, 0.7], max_concurrent=2)
-            config = ServingConfig(
-                router="least_loaded",
-                routing_engine=engine,
-                votes_per_task=2,
-                aggregator="majority",
-            )
-            service = AnnotationService(
-                pool, config, answer_oracle=lambda worker_id, task: task.gold_label
-            )
-            report = service.serve([make_task(i) for i in range(40)])
-            return json.dumps(report.trace_dict(), sort_keys=True)
-
-        assert run("heap") == run("bucket")
-
-    def test_marketplace_run_identical_across_engines(self):
-        def run(engine):
-            orchestrator = MarketplaceOrchestrator(
-                [CampaignSpec(name="alpha", dataset="S-1", selector="us", k=5, seed=1)],
-                config=MarketplaceConfig(
-                    router="least_loaded", routing_engine=engine, total_tasks=30
-                ),
-                churn=ChurnConfig(arrival_rate=0.8, departure_rate=0.05),
-                seed=7,
-            )
-            report = orchestrator.run(40).to_dict()
-            report.pop("elapsed_s")
-            return report
-
-        assert run("heap") == run("bucket")
 
 
 class TestPinnedTieBreak:
@@ -635,21 +551,18 @@ class TestEngineConfiguration:
             MarketplaceConfig(routing_engine="bogus")
 
     def test_engine_knob_forwarded_only_where_understood(self):
-        assert router_accepts("domain_affinity", "engine")
-        assert not router_accepts("round_robin", "engine")
-        assert router_accepts("least_loaded", "engine")
-        # Forwarding is gated on each router's declared ENGINES, not on the
-        # keyword being accepted: a least_loaded router never sees
-        # "indexed" and a domain_affinity router never sees "bucket".
+        # Forwarding is gated on each router's declared ENGINES: only
+        # domain_affinity declares any, so the other routers never see
+        # the knob.
         assert router_engines("domain_affinity") == ("indexed", "reference")
-        assert router_engines("least_loaded") == ("heap", "bucket")
+        assert router_engines("least_loaded") == ()
         assert router_engines("round_robin") == ()
-        assert set(known_routing_engines()) == {
-            "indexed",
-            "reference",
-            "heap",
-            "bucket",
-        }
+        assert set(known_routing_engines()) == {"indexed", "reference"}
+        for router in ("least_loaded", "round_robin"):
+            service = AnnotationService(
+                make_pool([0.9]), ServingConfig(router=router, routing_engine="reference")
+            )
+            assert service.report().router == router
 
     def test_reference_engine_carries_no_index(self):
         router = make_router("domain_affinity", make_pool([0.9]), engine="reference")
