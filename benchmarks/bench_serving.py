@@ -4,10 +4,10 @@ Times the two serving hot paths in isolation:
 
 * **routing** — ``route()`` + load release per policy (``round_robin``,
   ``least_loaded``, ``domain_affinity``) across pool sizes up to 100k
-  workers, reported as routed tasks/second.  Every engine a policy
-  declares gets its own cells: ``domain_affinity`` is timed under its
-  ``indexed`` engine (the per-domain qualification indexes) at every
-  size and under the O(n log n) ``reference`` engine on the smaller
+  workers, reported as routed tasks/second.  Every engine a policy's
+  constructor accepts gets its own cells: ``domain_affinity`` is timed
+  under its ``indexed`` engine (the per-domain qualification indexes) at
+  every size and under the O(n log n) ``reference`` engine on the smaller
   pools, so the payload documents both the scaling cliff the index
   removed and the fact that it is gone;
 * **aggregation** — per-answer ``add()`` latency of the streaming
@@ -63,12 +63,7 @@ from repro.obs.timing import perf_counter
 from repro.serving.aggregation import IncrementalDawidSkene, OnlineMajorityVote
 from repro.serving.pool import ServingPool, ServingWorker
 from repro.serving.qualification import DomainQualification, QualificationTier
-from repro.serving.routing import (
-    NoEligibleWorkersError,
-    make_router,
-    router_engines,
-    router_names,
-)
+from repro.serving.routing import DomainAffinityRouter, NoEligibleWorkersError, make_router, router_names
 
 SCHEMA_VERSION = 4
 
@@ -85,6 +80,9 @@ FALLBACK_FRACTION = 0.2
 #: engine — uncapped, a 100k-pool reference cell alone would take hours.
 DEFAULT_REFERENCE_TASKS = 2_000
 DEFAULT_REFERENCE_MAX_POOL = 10_000
+#: Ranking engines each policy's constructor accepts (``engine=``), default
+#: first; policies absent here have a single implementation.
+POLICY_ENGINES: Dict[str, Tuple[str, ...]] = {"domain_affinity": DomainAffinityRouter.ENGINES}
 
 
 def build_pool(n_workers: int, seed: int = 0, max_concurrent: int = 8) -> ServingPool:
@@ -324,7 +322,7 @@ def _flatness(cells: List[Dict[str, object]]) -> Dict[str, Dict[str, float]]:
 
 
 def _default_engine(policy: str) -> Optional[str]:
-    engines = router_engines(policy)
+    engines = POLICY_ENGINES.get(policy, ())
     return engines[0] if engines else None
 
 
@@ -368,7 +366,7 @@ def run_benchmark(
 ) -> Dict[str, object]:
     """The full benchmark payload."""
     for policy in router_names():
-        declared = router_engines(policy)
+        declared = POLICY_ENGINES.get(policy, ())
         if len(declared) < 2:
             continue
         compared = check_engine_equivalence(
@@ -381,7 +379,7 @@ def run_benchmark(
         )
     routing: List[Dict[str, object]] = []
     for policy in router_names():
-        engines: List[Optional[str]] = list(router_engines(policy)) or [None]
+        engines: List[Optional[str]] = list(POLICY_ENGINES.get(policy, ())) or [None]
         for engine in engines:
             for n_workers in pool_sizes:
                 cell_tasks = n_tasks

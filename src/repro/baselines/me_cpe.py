@@ -82,12 +82,11 @@ def _build_me_cpe(
     seed: SeedLike = None,
     target_initial_accuracy: Optional[float] = None,
     cpe_epochs: Optional[int] = None,
-    cpe_engine: Optional[str] = None,
     cpe_config: Optional[CPEConfig] = None,
 ) -> MeCpeSelector:
     """The ME-CPE ablation: cross-domain estimation without learning gains."""
     return MeCpeSelector(
-        cpe_config=cpe_config or build_cpe_config(target_initial_accuracy, cpe_epochs, cpe_engine),
+        cpe_config=cpe_config or build_cpe_config(target_initial_accuracy, cpe_epochs),
         rng=seed,
     )
 
@@ -97,13 +96,12 @@ def _build_ours(
     seed: SeedLike = None,
     target_initial_accuracy: Optional[float] = None,
     cpe_epochs: Optional[int] = None,
-    cpe_engine: Optional[str] = None,
     cpe_config: Optional[CPEConfig] = None,
     lge_config: Optional[LGEConfig] = None,
 ) -> OursSelector:
     """The paper's full method: CPE + LGE on budgeted Median Elimination."""
     return OursSelector(
-        cpe_config=cpe_config or build_cpe_config(target_initial_accuracy, cpe_epochs, cpe_engine),
+        cpe_config=cpe_config or build_cpe_config(target_initial_accuracy, cpe_epochs),
         lge_config=lge_config or build_lge_config(target_initial_accuracy),
         rng=seed,
     )

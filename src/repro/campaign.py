@@ -43,7 +43,6 @@ from repro.core.registry import make_selector, resolve_selector_name
 from repro.core.selector import BaseWorkerSelector, SelectionResult
 from repro.datasets.registry import load_dataset
 from repro.evaluation.metrics import precision_at_k
-from repro.platform.answers import ANSWER_ENGINES
 from repro.platform.session import AnnotationEnvironment
 from repro.serving.pool import ServingPool
 from repro.serving.qualification import QualificationPolicy
@@ -244,10 +243,6 @@ class Campaign:
         checkpoint/resume deterministic.
     tasks_per_batch:
         Override of the dataset's per-batch learning-task count ``Q``.
-    answer_engine:
-        Answer-simulation engine (``"vectorized"`` default,
-        ``"reference"`` for the per-worker verification loop); both engines
-        produce bit-identical reports for one seed.
     selector_config:
         Extra keyword configuration for the selector factory (must be
         JSON-serialisable so it can travel through :meth:`state_dict`);
@@ -262,13 +257,9 @@ class Campaign:
         k: Optional[int] = None,
         seed: int = 0,
         tasks_per_batch: Optional[int] = None,
-        answer_engine: str = "vectorized",
         selector_config: Optional[Mapping[str, object]] = None,
         **extra_selector_config: object,
     ) -> None:
-        if answer_engine not in ANSWER_ENGINES:
-            raise ValueError(f"answer_engine must be one of {ANSWER_ENGINES}, got {answer_engine!r}")
-        self._answer_engine = answer_engine
         self._dataset_name = dataset
         # Canonicalise eagerly (raises KeyError on unknown names) so aliases
         # and case variants derive the same selector seed — and the same
@@ -355,7 +346,6 @@ class Campaign:
         if self._generator is None:
             self._environment = self._instance.environment(
                 run_seed=derive_seed(self._seed, "campaign", "answers"),
-                answer_engine=self._answer_engine,
             )
             self._generator = self._selector.stepwise(self._environment, self._requested_k)
         return self._generator
@@ -607,7 +597,6 @@ class Campaign:
             "k": self._requested_k,
             "seed": self._seed,
             "tasks_per_batch": self._tasks_per_batch,
-            "answer_engine": self._answer_engine,
             "selector_config": dict(self._selector_config),
             "rounds_completed": self.rounds_completed,
             "finished": self.finished,
@@ -625,7 +614,6 @@ class Campaign:
             k=state.get("k"),
             seed=int(state["seed"]),
             tasks_per_batch=state.get("tasks_per_batch"),
-            answer_engine=str(state.get("answer_engine", "vectorized")),
             selector_config=dict(state.get("selector_config", {})),
         )
         rounds_completed = int(state.get("rounds_completed", 0))

@@ -66,8 +66,7 @@ from repro.datasets.registry import (
     SCENARIO_SEPARATOR,
     parse_scenario,
 )
-from repro.platform.answers import ANSWER_ENGINES
-from repro.serving.routing import known_routing_engines, router_exists, router_names
+from repro.serving.routing import router_exists, router_names
 from repro.workers.registry import behavior_names, describe_behavior
 
 # ``repro-crowd serve`` exits with this status (not 0) when the drift
@@ -394,12 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="contaminate the dataset's pool (e.g. 'spam10', 'adversarial20+drift10', 'mixed30')",
     )
     run_parser.add_argument(
-        "--answer-engine",
-        choices=ANSWER_ENGINES,
-        default="vectorized",
-        help="answer-simulation engine (default 'vectorized'; engines are bit-identical)",
-    )
-    run_parser.add_argument(
         "--tasks-per-batch", type=int, default=None, help="override the dataset's per-batch task count Q"
     )
     run_parser.add_argument(
@@ -444,16 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_router_name,
         default="domain_affinity",
         help=f"routing policy (default 'domain_affinity'); choices: {', '.join(router_names())}",
-    )
-    serve_parser.add_argument(
-        "--routing-engine",
-        choices=known_routing_engines(),
-        default="indexed",
-        help=(
-            "ranking engine for routers that support one (forwarded only to the "
-            "router that understands it): domain_affinity ships 'indexed' / "
-            "'reference', which produce byte-identical traces (default indexed)"
-        ),
     )
     serve_parser.add_argument(
         "--votes", type=int, default=3, help="distinct workers asked per working task (default 3)"
@@ -539,15 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_router_name,
         default="least_loaded",
         help=f"routing policy shared by every campaign (default 'least_loaded'); choices: {', '.join(router_names())}",
-    )
-    marketplace_parser.add_argument(
-        "--routing-engine",
-        choices=known_routing_engines(),
-        default="indexed",
-        help=(
-            "ranking engine shared by every campaign's router, forwarded only "
-            "where understood (default indexed)"
-        ),
     )
     marketplace_parser.add_argument(
         "--arrival-rate", type=float, default=0.5, help="expected worker arrivals per tick (default 0.5)"
@@ -661,7 +635,6 @@ def _run_campaign(args: argparse.Namespace) -> int:
             k=args.k,
             seed=args.seed,
             tasks_per_batch=args.tasks_per_batch,
-            answer_engine=args.answer_engine,
             selector_config=selector_config,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -730,7 +703,6 @@ def _serve_campaign(args: argparse.Namespace) -> int:
         report = campaign.serve(
             n_tasks=args.tasks,
             router=args.router,
-            routing_engine=args.routing_engine,
             votes_per_task=args.votes,
             max_assignments=args.budget,
             aggregator=args.aggregator,
@@ -815,7 +787,6 @@ def _run_marketplace(args: argparse.Namespace) -> int:
             specs,
             config=MarketplaceConfig(
                 router=args.router,
-                routing_engine=args.routing_engine,
                 votes_per_task=args.votes,
                 tasks_per_tick=args.tasks_per_tick,
                 total_tasks=args.total_tasks,

@@ -242,14 +242,13 @@ def _build_cross_domain(
     use_lge: bool = True,
     target_initial_accuracy: Optional[float] = None,
     cpe_epochs: Optional[int] = None,
-    cpe_engine: Optional[str] = None,
     cpe_config: Optional[CPEConfig] = None,
     lge_config: Optional[LGEConfig] = None,
     name: Optional[str] = None,
 ) -> CrossDomainWorkerSelector:
     """The configurable pipeline itself, ablation flags exposed."""
     return CrossDomainWorkerSelector(
-        cpe_config=cpe_config or build_cpe_config(target_initial_accuracy, cpe_epochs, cpe_engine),
+        cpe_config=cpe_config or build_cpe_config(target_initial_accuracy, cpe_epochs),
         lge_config=lge_config or build_lge_config(target_initial_accuracy),
         use_cpe=use_cpe,
         use_lge=use_lge,
@@ -259,9 +258,7 @@ def _build_cross_domain(
 
 
 def build_cpe_config(
-    target_initial_accuracy: Optional[float] = None,
-    cpe_epochs: Optional[int] = None,
-    cpe_engine: Optional[str] = None,
+    target_initial_accuracy: Optional[float] = None, cpe_epochs: Optional[int] = None
 ) -> CPEConfig:
     """A :class:`CPEConfig` with only the explicitly provided knobs overridden."""
     overrides: Dict[str, object] = {}
@@ -269,8 +266,6 @@ def build_cpe_config(
         overrides["initial_target_mean"] = target_initial_accuracy
     if cpe_epochs is not None:
         overrides["n_epochs"] = cpe_epochs
-    if cpe_engine is not None:
-        overrides["likelihood_engine"] = cpe_engine
     return CPEConfig(**overrides)
 
 

@@ -172,13 +172,11 @@ class DatasetInstance:
     def target_domain(self) -> str:
         return self.spec.target_domain
 
-    def environment(self, run_seed: SeedLike = None, answer_engine: str = "vectorized") -> AnnotationEnvironment:
+    def environment(self, run_seed: SeedLike = None) -> AnnotationEnvironment:
         """A fresh environment for one selection run.
 
         Worker training exposure is reset by the environment constructor, so
         every method / repetition starts from the same untrained pool.
-        ``answer_engine`` selects the answer-simulation path (engines are
-        bit-identical; ``"reference"`` exists for verification).
         """
         derivation_name = self.spec.seed_name if self.spec.seed_name is not None else self.name
         answer_seed = derive_seed(self.seed, derivation_name, "answers", run_seed if run_seed is not None else 0)
@@ -189,7 +187,6 @@ class DatasetInstance:
             prior_domains=self.prior_domains,
             rng=answer_seed,
             batch_size=self.spec.tasks_per_batch,
-            answer_engine=answer_engine,
         )
 
     # ------------------------------------------------------------------ #

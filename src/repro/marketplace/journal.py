@@ -61,6 +61,37 @@ class JournalFingerprintError(JournalError):
     """The journal was written by a run with a different configuration."""
 
 
+#: Differing fingerprint paths named in a :class:`JournalFingerprintError`.
+MAX_REPORTED_DIFFERENCES = 3
+
+#: Stands in for a fingerprint key or list item present on one side only.
+_ABSENT = object()
+
+
+def _render(value: object) -> str:
+    return "<absent>" if value is _ABSENT else json.dumps(value, sort_keys=True)
+
+
+def _fingerprint_differences(stored: object, current: object, path: str = "") -> List[str]:
+    """Every leaf where two decoded fingerprints differ, in sorted-key order.
+
+    Each entry reads ``dotted.path: stored <json>, current <json>``; a key
+    or list item present on one side only renders as ``<absent>`` there,
+    and list items are addressed by index (``campaigns.0.seed``).
+    """
+    if isinstance(stored, list) and isinstance(current, list):
+        stored, current = dict(enumerate(stored)), dict(enumerate(current))
+    if isinstance(stored, dict) and isinstance(current, dict):
+        differences: List[str] = []
+        for key in sorted(set(stored) | set(current)):
+            child = f"{path}.{key}" if path else str(key)
+            differences += _fingerprint_differences(stored.get(key, _ABSENT), current.get(key, _ABSENT), child)
+        return differences
+    if stored == current:
+        return []
+    return [f"{path or 'fingerprint'}: stored {_render(stored)}, current {_render(current)}"]
+
+
 def encode_record(record: Mapping[str, object]) -> str:
     """Canonical one-line encoding of a journal record (sorted keys + newline).
 
@@ -138,17 +169,21 @@ class EventJournal:
         """Read the journal and verify its header matches ``fingerprint``.
 
         Returns the tick records on success; raises
-        :class:`JournalFingerprintError` when the stored fingerprint
-        differs from the current run's configuration.
+        :class:`JournalFingerprintError` naming the first differing
+        fingerprint paths when the stored fingerprint differs from the
+        current run's configuration.  The file is left untouched.
         """
         header, ticks = self.read()
         stored = header.get("fingerprint")
         expected = json.loads(json.dumps(fingerprint, sort_keys=True))
         if stored != expected:
+            differences = _fingerprint_differences(stored, expected)
+            named = "; ".join(differences[:MAX_REPORTED_DIFFERENCES])
+            if len(differences) > MAX_REPORTED_DIFFERENCES:
+                named += f"; and {len(differences) - MAX_REPORTED_DIFFERENCES} more"
             raise JournalFingerprintError(
                 f"{self.path}: journal was written under a different configuration "
-                f"(stored fingerprint {json.dumps(stored, sort_keys=True)} != current "
-                f"{json.dumps(expected, sort_keys=True)}); refusing to resume"
+                f"({named}); refusing to resume"
             )
         return ticks
 

@@ -244,7 +244,6 @@ class CampaignHandle:
             self.pool,
             ServingConfig(
                 router=config.router,
-                routing_engine=config.routing_engine,
                 votes_per_task=config.votes_per_task,
                 max_concurrent=config.max_concurrent,
                 aggregator=config.aggregator,

@@ -50,7 +50,7 @@ from repro.serving.qualification import (
     qualification_for,
 )
 from repro.serving.quality import DriftConfig
-from repro.serving.routing import known_routing_engines, resolve_router_name
+from repro.serving.routing import resolve_router_name
 from repro.stats.rng import counter_uniforms, derive_seed, stream_seeds, token_hashes
 from repro.workers.population import PopulationConfig, sample_learning_population
 
@@ -64,8 +64,8 @@ class MarketplaceConfig:
 
     Attributes
     ----------
-    router / routing_engine / votes_per_task / max_concurrent /
-    aggregator / drift / reselect_fraction:
+    router / votes_per_task / max_concurrent / aggregator / drift /
+    reselect_fraction:
         Passed through to each campaign's
         :class:`~repro.serving.service.ServingConfig`.
     qualification:
@@ -89,7 +89,6 @@ class MarketplaceConfig:
     """
 
     router: str = "least_loaded"
-    routing_engine: str = "indexed"
     votes_per_task: int = 3
     tasks_per_tick: int = 2
     answer_delay: int = 1
@@ -119,18 +118,12 @@ class MarketplaceConfig:
             raise ValueError("max_reselections must be non-negative")
         if self.total_tasks is not None and self.total_tasks <= 0:
             raise ValueError("total_tasks must be positive when given")
-        if self.routing_engine not in known_routing_engines():
-            raise ValueError(
-                f"unknown routing engine {self.routing_engine!r}; "
-                f"choose from: {', '.join(known_routing_engines())}"
-            )
         resolve_router_name(self.router)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable representation (part of the journal fingerprint)."""
         return {
             "router": self.router,
-            "routing_engine": self.routing_engine,
             "votes_per_task": self.votes_per_task,
             "tasks_per_tick": self.tasks_per_tick,
             "answer_delay": self.answer_delay,

@@ -25,8 +25,8 @@ concurrency cap by charging assignments through the pool):
     tier) :class:`~repro.serving.index.DomainIndexSet` rankings
     maintained from the pool event bus — O(votes + log n) per task;
     ``reference`` re-sorts the pool per task — O(n log n) — and exists
-    as the independently-simple implementation the equivalence tests
-    hold the index against.
+    only as the test oracle the equivalence tests hold the index against
+    (``DomainAffinityRouter(pool, engine="reference")``).
 
 A policy's :meth:`BaseRouter.route` picks ``n_votes`` *distinct* workers
 and charges their in-flight load; the serving loop releases the load when
@@ -111,9 +111,8 @@ class BaseRouter(abc.ABC):
     #: Canonical policy name (used in traces, reports and metric labels).
     name: str = "base"
 
-    def __init__(self, pool: ServingPool, min_tier: QualificationTier = QualificationTier.FALLBACK) -> None:
+    def __init__(self, pool: ServingPool) -> None:
         self._pool = pool
-        self._min_tier = min_tier
         self._obs: Optional[_RouterObs] = None
         pool.add_listener(self)
 
@@ -305,25 +304,6 @@ class RouterRegistry:
         """Canonical names of every registered router, sorted."""
         return sorted(self._factories)
 
-    def engines(self, name: str) -> Tuple[str, ...]:
-        """The ranking engines router ``name`` declares (``()`` when none).
-
-        A router advertises its engines through an ``ENGINES`` class
-        attribute (default first).  The serving layer forwards the
-        ``routing_engine`` knob to a router only when the configured value
-        appears here, so one config can name an engine that belongs to a
-        different router without breaking the others.
-        """
-        canonical = self.resolve(name)
-        return tuple(getattr(self._factories[canonical], "ENGINES", ()))
-
-    def known_engines(self) -> List[str]:
-        """Every engine declared by any registered router, sorted."""
-        known = set()
-        for name in self.names():
-            known.update(self.engines(name))
-        return sorted(known)
-
     def create(self, name: str, pool: ServingPool, **config: object) -> BaseRouter:
         """Build the router registered under ``name`` for ``pool``."""
         canonical = self.resolve(name)
@@ -372,16 +352,6 @@ def resolve_router_name(name: str) -> str:
     return GLOBAL_ROUTER_REGISTRY.resolve(name)
 
 
-def router_engines(name: str) -> Tuple[str, ...]:
-    """The ranking engines the registered router ``name`` declares."""
-    return GLOBAL_ROUTER_REGISTRY.engines(name)
-
-
-def known_routing_engines() -> List[str]:
-    """Every ranking engine declared by any registered router, sorted."""
-    return GLOBAL_ROUTER_REGISTRY.known_engines()
-
-
 # ---------------------------------------------------------------------- #
 # Built-in policies
 # ---------------------------------------------------------------------- #
@@ -398,11 +368,11 @@ class RoundRobinRouter(BaseRouter):
 
     name = "round_robin"
 
-    def __init__(self, pool: ServingPool, min_tier: QualificationTier = QualificationTier.FALLBACK) -> None:
+    def __init__(self, pool: ServingPool) -> None:
         # Mirrored before the base class subscribes us: the membership
         # hooks keep this list identical to pool.worker_ids from then on.
         self._order: List[str] = pool.worker_ids
-        super().__init__(pool, min_tier)
+        super().__init__(pool)
         self._cursor = 0
 
     def on_worker_added(self, worker_id: str) -> None:
@@ -420,7 +390,7 @@ class RoundRobinRouter(BaseRouter):
             self._cursor += 1
             scanned += 1
             worker = self._pool[worker_id]
-            if worker.tier_on(domain) >= self._min_tier and worker.has_capacity:
+            if worker.tier_on(domain) >= QualificationTier.FALLBACK and worker.has_capacity:
                 self._pool.begin_assignment(worker_id)
                 chosen.append(worker_id)
         if not chosen:
@@ -458,13 +428,13 @@ class LeastLoadedRouter(BaseRouter):
 
     name = "least_loaded"
 
-    def __init__(self, pool: ServingPool, min_tier: QualificationTier = QualificationTier.FALLBACK) -> None:
+    def __init__(self, pool: ServingPool) -> None:
         # Bound as an *instance* attribute before the base class
         # subscribes us: the pool's hook pre-binding then dispatches load
         # events here (the class-level hook is a marked no-op the pool
         # would skip).
         self.on_load_changed = self._file_live_key  # type: ignore[method-assign]
-        super().__init__(pool, min_tier)
+        super().__init__(pool)
         self._heap: List[Tuple[int, int, str]] = []
         self._rebuild()
 
@@ -510,7 +480,7 @@ class LeastLoadedRouter(BaseRouter):
                 # never pick the same worker twice, so park it untouched.
                 held_back.append((active, assigned, worker_id))
                 continue
-            if worker.tier_on(domain) < self._min_tier or not worker.has_capacity:
+            if worker.tier_on(domain) < QualificationTier.FALLBACK or not worker.has_capacity:
                 held_back.append((active, assigned, worker_id))
                 continue
             # Charging files the worker's next key via the load hook; the
@@ -543,9 +513,10 @@ class DomainAffinityRouter(BaseRouter):
         consistent by a :class:`~repro.serving.index.DomainIndexSet` fed
         from the pool event bus — O(votes + log n) amortised per task.
     ``reference``
-        Re-sorts the pool's tier members per task — O(n log n), kept as
-        the obviously-correct implementation the equivalence tests hold
-        the index against.
+        Re-sorts the pool's tier members per task — O(n log n), kept only
+        as the obviously-correct test oracle the equivalence tests hold
+        the index against.  This constructor is its one entry point: no
+        serving config, marketplace config or CLI flag selects it.
 
     Both check capacity live per candidate and are byte-for-byte
     equivalent (enforced by ``tests/test_routing_equivalence.py``).
@@ -556,13 +527,7 @@ class DomainAffinityRouter(BaseRouter):
     #: Valid ``engine=`` values, default first.
     ENGINES = ("indexed", "reference")
 
-    def __init__(
-        self,
-        pool: ServingPool,
-        min_tier: QualificationTier = QualificationTier.FALLBACK,
-        engine: str = "indexed",
-        compact_floor: int = 32,
-    ) -> None:
+    def __init__(self, pool: ServingPool, engine: str = "indexed", compact_floor: int = 32) -> None:
         if engine not in self.ENGINES:
             raise ValueError(
                 f"unknown routing engine {engine!r}; expected one of {', '.join(self.ENGINES)}"
@@ -571,7 +536,7 @@ class DomainAffinityRouter(BaseRouter):
         # Built before the base class subscribes us to the pool: the hooks
         # the subscription binds forward straight to this index.
         self._index = DomainIndexSet(pool, compact_floor=compact_floor) if engine == "indexed" else None
-        super().__init__(pool, min_tier)
+        super().__init__(pool)
 
     @property
     def engine(self) -> str:
@@ -603,7 +568,7 @@ class DomainAffinityRouter(BaseRouter):
     def _pick(self, domain: str, n_votes: int, excluded: Optional[Set[str]]) -> List[str]:
         chosen: List[str] = []
         for tier in (QualificationTier.QUALIFIED, QualificationTier.FALLBACK):
-            if tier < self._min_tier or len(chosen) >= n_votes:
+            if len(chosen) >= n_votes:
                 break
             for worker in self._iter_tier(domain, tier):
                 if len(chosen) >= n_votes:
@@ -654,6 +619,4 @@ __all__ = [
     "router_names",
     "router_exists",
     "resolve_router_name",
-    "router_engines",
-    "known_routing_engines",
 ]

@@ -33,13 +33,7 @@ from repro.platform.tasks import Task, TaskBank
 from repro.serving.aggregation import IncrementalDawidSkene, OnlineMajorityVote
 from repro.serving.pool import ServingPool
 from repro.serving.quality import DriftConfig, DriftEvent, QualityTracker
-from repro.serving.routing import (
-    NoEligibleWorkersError,
-    known_routing_engines,
-    make_router,
-    resolve_router_name,
-    router_engines,
-)
+from repro.serving.routing import NoEligibleWorkersError, make_router, resolve_router_name
 
 #: ``(worker_id, task) -> answer`` — how a routed worker answers a task.
 AnswerOracle = Callable[[str, Task], bool]
@@ -60,13 +54,6 @@ class ServingConfig:
     ----------
     router:
         Registered routing-policy name (``repro.serving.router_names()``).
-    routing_engine:
-        Ranking engine for routers that declare one: ``domain_affinity``
-        understands ``"indexed"`` / ``"reference"``.  Paired engines
-        produce byte-identical traces; the knob exists so the equivalence
-        can be checked and the old complexity reproduced.  The value is
-        forwarded only to the router whose ``ENGINES`` declares it — any
-        other router ignores it.
     votes_per_task:
         Distinct workers asked per working task.
     max_concurrent:
@@ -79,10 +66,8 @@ class ServingConfig:
     max_assignments:
         Serving budget in vote units; ``None`` means unlimited.
     aggregator:
-        ``"dawid_skene"`` (incremental, confusion-aware) or ``"majority"``.
-    converge_final:
-        For the Dawid-Skene aggregator: report labels from the exact EM
-        replay instead of the streamed posterior.
+        ``"dawid_skene"`` (incremental, confusion-aware; final labels come
+        from the exact EM replay) or ``"majority"``.
     drift:
         EWMA drift-detection tuning.
     reselect_fraction:
@@ -93,12 +78,10 @@ class ServingConfig:
     """
 
     router: str = "domain_affinity"
-    routing_engine: str = "indexed"
     votes_per_task: int = 3
     max_concurrent: int = 8
     max_assignments: Optional[int] = None
     aggregator: str = "dawid_skene"
-    converge_final: bool = True
     drift: DriftConfig = field(default_factory=DriftConfig)
     reselect_fraction: float = 0.5
     seed: int = 0
@@ -114,11 +97,6 @@ class ServingConfig:
             raise ValueError(f"unknown aggregator {self.aggregator!r}; choose from: {', '.join(_AGGREGATORS)}")
         if not 0.0 < self.reselect_fraction <= 1.0:
             raise ValueError("reselect_fraction must lie in (0, 1]")
-        if self.routing_engine not in known_routing_engines():
-            raise ValueError(
-                f"unknown routing engine {self.routing_engine!r}; "
-                f"choose from: {', '.join(known_routing_engines())}"
-            )
         # Resolving eagerly rejects unknown router names at config time.
         resolve_router_name(self.router)
 
@@ -283,10 +261,6 @@ class AnnotationService:
     answer_oracle:
         How routed workers answer (required for :meth:`process` /
         :meth:`serve`; the submit/record API works without it).
-    track_gold:
-        Capture each submitted task's ``gold_label`` so the report can
-        score label accuracy (a simulation convenience — disable for
-        streams whose gold labels are genuinely unknown).
     telemetry:
         Optional :class:`repro.obs.config.Telemetry` bundle.  Deliberately
         *not* part of :class:`ServingConfig` — the config is fingerprinted
@@ -300,7 +274,6 @@ class AnnotationService:
         pool: ServingPool,
         config: Optional[ServingConfig] = None,
         answer_oracle: Optional[AnswerOracle] = None,
-        track_gold: bool = True,
         telemetry=None,
         defer_invalidation_finalize: bool = False,
     ) -> None:
@@ -312,16 +285,8 @@ class AnnotationService:
         # finalize_ready() drains it at the next campaign step — pinning
         # drift demotions to one fixed point in the tick order.
         self._defer_invalidation_finalize = bool(defer_invalidation_finalize)
-        self._track_gold = track_gold
         self._gold_labels: Dict[str, bool] = {}
-        router_config: Dict[str, object] = {}
-        # The engine knob is forwarded only to the router that declares
-        # the configured value in its ENGINES — so one ServingConfig can
-        # carry "indexed" while routing through least_loaded (which has
-        # no engines).
-        if self._config.routing_engine in router_engines(self._config.router):
-            router_config["engine"] = self._config.routing_engine
-        self._router = make_router(self._config.router, pool, **router_config)
+        self._router = make_router(self._config.router, pool)
         self._aggregator: Union[IncrementalDawidSkene, OnlineMajorityVote]
         if self._config.aggregator == "majority":
             self._aggregator = OnlineMajorityVote()
@@ -454,8 +419,7 @@ class AnnotationService:
             metrics.tasks_submitted.inc()
             metrics.votes_requested.inc(self._config.votes_per_task)
             metrics.votes_assigned.inc(len(worker_ids))
-        if self._track_gold:
-            self._gold_labels[task.task_id] = task.gold_label
+        self._gold_labels[task.task_id] = task.gold_label
         assignment = TaskAssignment(task_id=task.task_id, domain=task.domain, worker_ids=tuple(worker_ids))
         self._assignments.append(assignment)
         self._pending[task.task_id] = _PendingTask(task=task, expected=assignment.worker_ids)
@@ -620,11 +584,7 @@ class AnnotationService:
     # ------------------------------------------------------------------ #
     def labels(self) -> Dict[str, bool]:
         """Current aggregated labels, in first-routed order."""
-        if (
-            isinstance(self._aggregator, IncrementalDawidSkene)
-            and self._config.converge_final
-            and self._aggregator.n_answers > 0
-        ):
+        if isinstance(self._aggregator, IncrementalDawidSkene) and self._aggregator.n_answers > 0:
             return self._aggregator.converged_labels()
         return self._aggregator.labels()
 

@@ -10,6 +10,8 @@ Mirrors ``tests/test_cpe_equivalence.py``.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -201,14 +203,22 @@ class TestEvaluationEquivalence:
 
 
 @pytest.mark.parametrize("dataset", ["S-1", "S-1:spam10", "RW-1:adversarial20"])
-def test_campaign_reports_identical_across_engines(dataset):
-    """Full Campaign.run(): the vectorization changes nothing, bit for bit."""
-    reports = {
-        engine: Campaign(
-            dataset=dataset, selector="ours", seed=11, cpe_epochs=4, answer_engine=engine
-        ).run()
-        for engine in ANSWER_ENGINES
-    }
+def test_campaign_reports_identical_across_engines(dataset, monkeypatch):
+    """Full Campaign.run(): the vectorization changes nothing, bit for bit.
+
+    The reference engine is selected only by the environment constructor,
+    so the campaign's datasets are handed an environment class with the
+    engine pre-bound.
+    """
+    reports = {}
+    for engine in ANSWER_ENGINES:
+        monkeypatch.setattr(
+            "repro.datasets.base.AnnotationEnvironment",
+            functools.partial(AnnotationEnvironment, answer_engine=engine),
+        )
+        campaign = Campaign(dataset=dataset, selector="ours", seed=11, cpe_epochs=4)
+        reports[engine] = campaign.run()
+        assert campaign._environment.answer_engine == engine
     assert reports["vectorized"].to_dict() == reports["reference"].to_dict()
 
 
@@ -219,10 +229,16 @@ def test_campaign_default_engine_is_vectorized():
     assert campaign._environment.summary()["answer_engine"] == "vectorized"
 
 
-def test_campaign_state_dict_round_trips_answer_engine():
-    campaign = Campaign(dataset="S-1", selector="us", seed=3, answer_engine="reference")
+@pytest.mark.parametrize("engine", ANSWER_ENGINES)
+def test_legacy_answer_engine_checkpoint_restores(engine):
+    """Checkpoints that still carry the retired ``answer_engine`` key resume."""
+    campaign = Campaign(dataset="S-1", selector="me", seed=3)
+    campaign.step()
     state = campaign.state_dict()
-    assert state["answer_engine"] == "reference"
-    restored = Campaign.from_state_dict(state)
-    assert restored._answer_engine == "reference"
-    assert restored.run().to_dict() == campaign.run().to_dict()
+    assert "answer_engine" not in state
+    restored = Campaign.from_state_dict({**state, "answer_engine": engine})
+    assert restored.rounds_completed == 1
+    restored.run()
+    fresh = Campaign(dataset="S-1", selector="me", seed=3)
+    fresh.run()
+    assert restored.report().to_dict() == fresh.report().to_dict()

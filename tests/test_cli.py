@@ -147,18 +147,6 @@ class TestScenarioCommands:
         assert main(["run", "--dataset", "S-1:spam10", "--scenario", "drift10"]) == 2
         assert "already carries a scenario" in capsys.readouterr().err
 
-    def test_run_answer_engine_flag(self, capsys):
-        assert main(
-            ["run", "--dataset", "S-1", "--selector", "us", "--k", "10",
-             "--answer-engine", "reference", "--json"]
-        ) == 0
-        reference = json.loads(capsys.readouterr().out)
-        assert main(
-            ["run", "--dataset", "S-1", "--selector", "us", "--k", "10", "--json"]
-        ) == 0
-        vectorized = json.loads(capsys.readouterr().out)
-        assert reference["selected_worker_ids"] == vectorized["selected_worker_ids"]
-
     def test_behaviors_listing(self, capsys):
         assert main(["behaviors"]) == 0
         out = capsys.readouterr().out

@@ -179,10 +179,17 @@ def _assert_reports_equivalent(fast_report, reference_report):
 
 @pytest.mark.parametrize("dataset", ["S-1", "RW-1"])
 def test_campaign_selections_identical_across_engines(dataset):
-    """Full Campaign.run() on the paper seeds: the refactor changes nothing."""
+    """Full Campaign.run() on the paper seeds: the refactor changes nothing.
+
+    The reference engine is reached through the one place that selects
+    it, ``CPEConfig(likelihood_engine=...)``, handed to the selector.
+    """
     vectorized = Campaign(dataset=dataset, selector="ours", seed=11, cpe_epochs=12).run()
     reference = Campaign(
-        dataset=dataset, selector="ours", seed=11, cpe_epochs=12, cpe_engine="reference"
+        dataset=dataset,
+        selector="ours",
+        seed=11,
+        cpe_config=CPEConfig(n_epochs=12, likelihood_engine="reference"),
     ).run()
     _assert_reports_equivalent(vectorized, reference)
 

@@ -211,6 +211,19 @@ class TestEventJournal:
         with pytest.raises(JournalFingerprintError):
             journal.check_fingerprint({"seed": 2, "campaigns": ["alpha"]})
 
+    def test_fingerprint_mismatch_names_each_differing_path(self, tmp_path):
+        journal = EventJournal(tmp_path / "run.jsonl")
+        journal.begin({"seed": 1, "campaigns": [{"k": 5}], "config": {"router": "rr"}})
+        with pytest.raises(JournalFingerprintError) as excinfo:
+            journal.check_fingerprint({"seed": 2, "campaigns": [{"k": 6}, {"k": 5}], "config": {}})
+        message = str(excinfo.value)
+        assert "campaigns.0.k: stored 5, current 6" in message
+        assert 'campaigns.1: stored <absent>, current {"k": 5}' in message
+        assert 'config.router: stored "rr", current <absent>' in message
+        # Only the first MAX_REPORTED_DIFFERENCES paths are spelled out.
+        assert "seed:" not in message
+        assert "; and 1 more)" in message
+
 
 class TestLifecycle:
     def test_spec_rejects_scenario_separator_in_name(self):
@@ -254,6 +267,23 @@ class TestOrchestrator:
         make_orchestrator(journal_path=path, seed=7).run(5, tick_batch=1)
         with pytest.raises(JournalFingerprintError):
             make_orchestrator(journal_path=path, seed=99).run(5, resume=True)
+
+    def test_resume_refusal_names_a_retired_config_key(self, tmp_path):
+        # A journal written before a config field was retired still carries
+        # the key in its header; resume must name it and leave the file be.
+        path = tmp_path / "run.jsonl"
+        make_orchestrator(journal_path=path).run(5, tick_batch=1)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["fingerprint"]["config"]["routing_engine"] = "indexed"
+        path.write_text(encode_record(header) + "".join(lines[1:]), encoding="utf-8")
+        before = path.read_bytes()
+        with pytest.raises(JournalFingerprintError) as excinfo:
+            make_orchestrator(journal_path=path).run(10, resume=True)
+        message = str(excinfo.value)
+        assert 'config.routing_engine: stored "indexed", current <absent>' in message
+        assert message.count(": stored ") == 1
+        assert path.read_bytes() == before
 
     def test_resume_requires_a_journal(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ bookkeeping of both the qualification indexes and the least-loaded heap.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
@@ -27,12 +28,11 @@ from repro.serving.qualification import (
 )
 from repro.serving.quality import DriftConfig, QualityTracker
 from repro.serving.routing import (
+    GLOBAL_ROUTER_REGISTRY,
     BaseRouter,
     DomainAffinityRouter,
     NoEligibleWorkersError,
-    known_routing_engines,
     make_router,
-    router_engines,
 )
 from repro.serving.service import AnnotationService, ServingConfig
 
@@ -50,6 +50,19 @@ def worker(worker_id, estimate=0.9, tier=QUALIFIED, max_concurrent=8, questions=
             DOMAIN: DomainQualification(worker_id, DOMAIN, float(estimate), questions, tier)
         },
         max_concurrent=max_concurrent,
+    )
+
+
+def route_affinity_through_reference(monkeypatch):
+    """Build every registry ``domain_affinity`` router on the reference engine.
+
+    The engine is selected only by the router constructor, so end-to-end
+    runs reach the oracle by swapping the registered factory.
+    """
+    monkeypatch.setitem(
+        GLOBAL_ROUTER_REGISTRY._factories,
+        "domain_affinity",
+        functools.partial(DomainAffinityRouter, engine="reference"),
     )
 
 
@@ -154,15 +167,14 @@ class TestEngineEquivalence:
         assert native_picks == base_picks == ["w2", "w1"]
         assert native_pool.load_snapshot() == base_pool.load_snapshot()
 
-    def test_service_trace_byte_identical_with_mid_run_demotions(self):
+    def test_service_trace_byte_identical_with_mid_run_demotions(self, monkeypatch):
         # End-to-end through AnnotationService: a drifting worker forces
         # demotions mid-run, and the full serialized trace — every
         # assignment, answer, label, demotion — must not depend on engine.
-        def run(engine):
+        def run():
             pool = make_pool([0.9, 0.8, 0.7], max_concurrent=8)
             config = ServingConfig(
                 router="domain_affinity",
-                routing_engine=engine,
                 votes_per_task=3,
                 aggregator="majority",
                 drift=DriftConfig(
@@ -180,28 +192,34 @@ class TestEngineEquivalence:
             service = AnnotationService(pool, config, answer_oracle=oracle)
             report = service.serve([make_task(i) for i in range(60)])
             assert report.demotions  # the run genuinely exercised demotion
-            return json.dumps(report.trace_dict(), sort_keys=True)
+            return service._router.engine, json.dumps(report.trace_dict(), sort_keys=True)
 
-        assert run("indexed") == run("reference")
+        indexed_engine, indexed = run()
+        route_affinity_through_reference(monkeypatch)
+        reference_engine, reference = run()
+        assert (indexed_engine, reference_engine) == ("indexed", "reference")
+        assert indexed == reference
 
-    def test_marketplace_run_identical_across_engines(self):
+    def test_marketplace_run_identical_across_engines(self, monkeypatch):
         # Open-world churn end to end: arrivals, departures, requalification
         # and drift all flow through the event bus, and the orchestrator
         # report must be identical whichever engine routed every vote.
-        def run(engine):
+        def run():
             orchestrator = MarketplaceOrchestrator(
                 [CampaignSpec(name="alpha", dataset="S-1", selector="us", k=5, seed=1)],
-                config=MarketplaceConfig(
-                    router="domain_affinity", routing_engine=engine, total_tasks=30
-                ),
+                config=MarketplaceConfig(router="domain_affinity", total_tasks=30),
                 churn=ChurnConfig(arrival_rate=0.8, departure_rate=0.05),
                 seed=7,
             )
             report = orchestrator.run(40).to_dict()
             report.pop("elapsed_s")
-            return report
+            return orchestrator._handles[0].service._router.engine, report
 
-        assert run("indexed") == run("reference")
+        indexed_engine, indexed = run()
+        route_affinity_through_reference(monkeypatch)
+        reference_engine, reference = run()
+        assert (indexed_engine, reference_engine) == ("indexed", "reference")
+        assert indexed == reference
 
 
 class TestChurnHooks:
@@ -538,31 +556,9 @@ class TestTrackerForget:
 
 
 class TestEngineConfiguration:
-    def test_serving_config_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            ServingConfig(routing_engine="bogus")
-
     def test_router_rejects_unknown_engine(self):
         with pytest.raises(ValueError):
             make_router("domain_affinity", make_pool([0.9]), engine="bogus")
-
-    def test_marketplace_config_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            MarketplaceConfig(routing_engine="bogus")
-
-    def test_engine_knob_forwarded_only_where_understood(self):
-        # Forwarding is gated on each router's declared ENGINES: only
-        # domain_affinity declares any, so the other routers never see
-        # the knob.
-        assert router_engines("domain_affinity") == ("indexed", "reference")
-        assert router_engines("least_loaded") == ()
-        assert router_engines("round_robin") == ()
-        assert set(known_routing_engines()) == {"indexed", "reference"}
-        for router in ("least_loaded", "round_robin"):
-            service = AnnotationService(
-                make_pool([0.9]), ServingConfig(router=router, routing_engine="reference")
-            )
-            assert service.report().router == router
 
     def test_reference_engine_carries_no_index(self):
         router = make_router("domain_affinity", make_pool([0.9]), engine="reference")
