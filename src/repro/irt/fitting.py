@@ -13,15 +13,23 @@ parameter ``alpha_i`` by least squares against two kinds of evidence:
 
 Both kinds reduce to generic ``(exposure, difficulty, observed accuracy)``
 triples, so the fit is a bounded one-dimensional least-squares problem.
+
+:func:`sum_of_squares` is the readable reference form of the objective.
+:func:`fit_learning_rate` packs the terms into arrays once and evaluates the
+same operations in the same order, so every objective value -- and hence
+every fitted ``alpha`` -- equals the reference bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, List, Sequence
 
+import numpy as np
 
 from repro.irt.learning_curve import LearningCurveModel
+from repro.irt.rasch import sigmoid
 from repro.stats.optimize import minimize_scalar_bounded
 
 DEFAULT_ALPHA_BOUNDS = (0.0, 10.0)
@@ -51,6 +59,10 @@ class AlphaFitObservation:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("exposure", "difficulty", "observed_accuracy", "weight"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.exposure < 0:
             raise ValueError(f"exposure must be non-negative, got {self.exposure}")
         if not 0.0 <= self.observed_accuracy <= 1.0:
@@ -98,9 +110,42 @@ def fit_learning_rate(
         raise ValueError("bounds must satisfy lower < upper")
     if not observation_list:
         return float(lower)
-    return float(
-        minimize_scalar_bounded(lambda a: sum_of_squares(a, observation_list), lower, upper, n_grid=n_grid)
-    )
+    objective, grid_evaluator = _packed_objective(observation_list)
+    return float(minimize_scalar_bounded(objective, lower, upper, n_grid=n_grid, grid_evaluator=grid_evaluator))
+
+
+def _packed_objective(
+    observations: Sequence[AlphaFitObservation],
+) -> tuple[Callable[[float], float], Callable[[np.ndarray], np.ndarray]]:
+    """:func:`sum_of_squares` over arrays packed once: a scalar and a grid form.
+
+    Both repeat the reference's operations in its order -- ``alpha *
+    log1p(exposure) - difficulty``, :func:`~repro.irt.rasch.sigmoid`, the
+    deviation, then a left-to-right sum of ``weight * deviation ** 2`` -- so
+    their values equal ``sum_of_squares`` bit for bit.  The square stays a
+    Python ``** 2`` (libm ``pow``, as in the reference): ``d * d``,
+    ``np.square`` and ``np.power`` end in a different last bit for about one
+    deviation in a thousand.
+    """
+    log_exposure = np.log1p(np.array([obs.exposure for obs in observations], dtype=float))
+    difficulty = np.array([obs.difficulty for obs in observations], dtype=float)
+    observed = np.array([obs.observed_accuracy for obs in observations], dtype=float)
+    weights = np.array([obs.weight for obs in observations], dtype=float).tolist()
+
+    def weighted_squares(deviations: List[float]) -> float:
+        total = 0.0
+        for weight, deviation in zip(weights, deviations):
+            total += weight * deviation ** 2
+        return total
+
+    def objective(alpha: float) -> float:
+        return weighted_squares((sigmoid(alpha * log_exposure - difficulty) - observed).tolist())
+
+    def grid_evaluator(grid: np.ndarray) -> np.ndarray:
+        deviations = sigmoid(np.multiply.outer(grid, log_exposure) - difficulty) - observed
+        return np.array([weighted_squares(row) for row in deviations.tolist()])
+
+    return objective, grid_evaluator
 
 
 __all__ = ["AlphaFitObservation", "fit_learning_rate", "sum_of_squares", "DEFAULT_ALPHA_BOUNDS"]

@@ -245,6 +245,7 @@ def minimize_scalar_bounded(
     lower: float,
     upper: float,
     n_grid: int = 25,
+    grid_evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> float:
     """Minimise a scalar objective on ``[lower, upper]``.
 
@@ -252,11 +253,24 @@ def minimize_scalar_bounded(
     routine robust to the mildly multi-modal least-squares objectives that
     arise when a worker's prior-domain accuracies disagree strongly with the
     learning-task feedback.
+
+    Parameters
+    ----------
+    grid_evaluator:
+        Optional batched form of ``objective`` for the seed grid: called once
+        with the ``(n_grid,)`` grid, it must return
+        ``np.array([objective(float(x)) for x in grid])`` bit for bit.  Any
+        difference could move the grid minimum, and with it the Brent
+        bracket and the result.  Omitted, the grid is evaluated point by
+        point.
     """
     if upper <= lower:
         raise ValueError("upper must exceed lower")
     grid = np.linspace(lower, upper, n_grid)
-    values = np.array([objective(float(x)) for x in grid])
+    if grid_evaluator is None:
+        values = np.array([objective(float(x)) for x in grid])
+    else:
+        values = np.asarray(grid_evaluator(grid), dtype=float)
     best = float(grid[int(np.argmin(values))])
     span = (upper - lower) / max(n_grid - 1, 1)
     bracket_lower = max(lower, best - 2.0 * span)

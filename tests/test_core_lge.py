@@ -61,6 +61,16 @@ class TestFitWorker:
         assert np.isfinite(alpha)
         assert alpha >= 0
 
+    @pytest.mark.parametrize("count", [np.nan, np.inf])
+    def test_non_finite_historical_count_rejected(self, count):
+        # max(nan, 0.0) is nan: the count must not reach the fit as a NaN exposure and weight.
+        estimator = make_estimator()
+        with pytest.raises(ValueError, match="exposure must be finite"):
+            estimator.fit_worker(
+                "w", np.array([0.8, 0.7]), np.array([count, 20.0]), [0.6, 0.7], [0.0, 10.0, 30.0]
+            )
+        assert "w" not in estimator.fitted_alphas
+
     def test_predict_requires_fit(self):
         estimator = make_estimator()
         with pytest.raises(KeyError):

@@ -30,6 +30,13 @@ class TestObservationValidation:
         with pytest.raises(ValueError):
             AlphaFitObservation(exposure=1.0, difficulty=0.0, observed_accuracy=0.5, weight=-1.0)
 
+    @pytest.mark.parametrize("field", ["exposure", "difficulty", "observed_accuracy", "weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_rejected(self, field, value):
+        terms = {"exposure": 1.0, "difficulty": 0.0, "observed_accuracy": 0.5, "weight": 1.0}
+        with pytest.raises(ValueError, match=field):
+            AlphaFitObservation(**{**terms, field: value})
+
 
 class TestFit:
     def test_recovers_true_alpha_from_clean_data(self):

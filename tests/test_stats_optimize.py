@@ -181,3 +181,27 @@ class TestMinimizeScalarBounded:
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
             minimize_scalar_bounded(lambda x: x, 1.0, 0.0)
+
+    def test_grid_evaluator_replaces_the_per_point_grid(self):
+        # Products and sums only: the array form equals the scalar form bit for bit.
+        def objective(x):
+            return (x - 0.3) * (x - 0.3) * (x - 1.7) * (x - 1.7) + 0.1 * x
+
+        scalar_calls = []
+        grids = []
+
+        def counted(x):
+            scalar_calls.append(x)
+            return objective(x)
+
+        def grid_evaluator(grid):
+            grids.append(grid)
+            return objective(grid)
+
+        batched = minimize_scalar_bounded(counted, 0.0, 2.0, n_grid=60, grid_evaluator=grid_evaluator)
+        assert batched == minimize_scalar_bounded(objective, 0.0, 2.0, n_grid=60)
+        assert batched == pytest.approx(0.28, abs=0.02)
+        assert len(grids) == 1
+        np.testing.assert_array_equal(grids[0], np.linspace(0.0, 2.0, 60))
+        # Only the Brent refinement evaluates the scalar objective.
+        assert 0 < len(scalar_calls) < 60
