@@ -25,10 +25,19 @@ The index is *lazily* consistent:
   route is validated against the live pool state — worker present, tier
   unchanged, estimate unchanged — and stale entries encountered on the
   walk are physically dropped then.
-* **Capacity is never indexed.**  ``has_capacity`` flips on every single
-  vote, so the index stores no load state at all; the router checks
-  capacity live on each candidate it walks (``on_load_changed`` is a
-  deliberate no-op).
+* **Capacity is indexed by parking.**  A walk that reaches a live entry
+  whose worker has no spare capacity deletes the entry from its list and
+  records the worker as *parked* on that domain (the worker's recorded
+  ``(tier, estimate)`` stays in place).  The index registers itself on the
+  worker (``ServingWorker.parked_in``), and when a slot frees —
+  ``complete_assignment`` / ``release_assignment`` on *any* pool holding
+  the shared worker — the pool calls :meth:`DomainIndexSet.on_load_changed`,
+  which re-inserts each parked entry with ``insort``.  The sort key never
+  changes, so the worker returns at the same rank.  The router skipped
+  saturated workers anyway, so picks are identical, and a route walks
+  O(votes) entries instead of every saturated worker ranked above the
+  first free ones.  Parking is lazy (a worker is parked the first time a
+  walk finds it full) so the index stays off the per-vote load bus.
 * **Compaction is periodic.**  When a list's dead counter reaches both
   the compaction floor and half the list, the list is rebuilt by one
   linear liveness filter, bounding garbage at ~50% regardless of churn.
@@ -41,7 +50,7 @@ qualifies.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.serving.pool import ServingPool, ServingWorker
@@ -66,8 +75,10 @@ class DomainIndexSet:
     pool:
         The serving pool the index mirrors.  The owner (normally
         :class:`~repro.serving.routing.DomainAffinityRouter`) forwards the
-        pool's listener hooks here; the index does not subscribe itself,
-        so one pool listener serves both the router and its index.
+        pool's membership and qualification hooks here; the index does not
+        subscribe itself, so one pool listener serves both the router and
+        its index.  Load reaches the index only through the workers it
+        parked (see :meth:`on_load_changed`).
     compact_floor:
         Minimum dead entries before a list is compacted (compaction also
         requires the dead to be at least half the list).  Small values
@@ -85,8 +96,13 @@ class DomainIndexSet:
         #: Stale entries known per list (kept in sync by the event hooks).
         self._dead: Dict[IndexKey, int] = {}
         #: The entry currently recorded for each (worker, domain) — the
-        #: one live entry; anything else in the lists is garbage.
+        #: one live entry; anything else in the lists is garbage.  A parked
+        #: worker keeps its record while its entry is out of the list.
         self._recorded: Dict[Tuple[str, str], Tuple[QualificationTier, float]] = {}
+        #: Saturated workers taken off the lists: the worker record the
+        #: index registered on, and the domains (ordered set) whose entry
+        #: it removed.
+        self._parked: Dict[str, Tuple[ServingWorker, Dict[str, None]]] = {}
         #: Indexed domains in first-routed order (dict as ordered set).
         self._domains: Dict[str, None] = {}
 
@@ -94,12 +110,15 @@ class DomainIndexSet:
     # Read side (the routing hot path)
     # ------------------------------------------------------------------ #
     def iter_tier(self, domain: str, tier: QualificationTier) -> Iterator[ServingWorker]:
-        """Live workers on ``(domain, tier)`` in pinned affinity order.
+        """Live workers with spare capacity on ``(domain, tier)``, in pinned affinity order.
 
         Walks the materialised list front to back, dropping stale entries
-        as they are encountered; every yielded worker is validated against
-        the pool at yield time.  Capacity is *not* filtered here — the
-        caller decides what to do with saturated workers.
+        and parking saturated workers as they are encountered; every
+        yielded worker is validated against the pool at yield time.  The
+        list may change while the walk is suspended at a ``yield`` (a
+        re-admission ``insort``, another walk's deletes); the walk then
+        resumes right after the entry it last yielded, so no worker is
+        yielded twice and none ranked after it is skipped.
         """
         self._ensure_domain(domain)
         key = (domain, tier)
@@ -125,8 +144,15 @@ class DomainIndexSet:
                 del entries[index]
                 self._dead[key] = max(0, self._dead[key] - 1)
                 continue
+            if not worker.has_capacity:
+                del entries[index]
+                self._park(worker, key, entry)
+                continue
             yield worker
-            index += 1
+            if index < len(entries) and entries[index] is entry:
+                index += 1
+            else:
+                index = bisect_right(entries, entry)
 
     def _live(self, key: IndexKey, entry: IndexEntry) -> Optional[ServingWorker]:
         """The pool worker an entry still describes, or ``None`` if stale."""
@@ -141,8 +167,30 @@ class DomainIndexSet:
             return None
         return worker
 
+    def _park(self, worker: ServingWorker, key: IndexKey, entry: IndexEntry) -> None:
+        """Record a saturated worker whose entry was just deleted as parked."""
+        domain = key[0]
+        parked = self._parked.get(entry[1])
+        if parked is None:
+            self._parked[entry[1]] = (worker, {domain: None})
+            worker.parked_in.append(self)
+        elif domain in parked[1]:
+            # Already parked here: the entry was a departed-and-returned
+            # worker's identical garbage, not its live entry.
+            self._dead[key] = max(0, self._dead[key] - 1)
+        else:
+            parked[1][domain] = None
+
+    def _unpark(self, worker_id: str) -> Dict[str, None]:
+        """Forget a worker's parked record; returns the domains it held."""
+        parked = self._parked.pop(worker_id, None)
+        if parked is None:
+            return {}
+        parked[0].parked_in.remove(self)
+        return parked[1]
+
     # ------------------------------------------------------------------ #
-    # Event hooks (forwarded from the pool's listener bus)
+    # Event hooks
     # ------------------------------------------------------------------ #
     def on_worker_added(self, worker_id: str) -> None:
         """Index an arrival on every domain already materialised."""
@@ -153,10 +201,14 @@ class DomainIndexSet:
             self._reindex(worker, domain)
 
     def on_worker_removed(self, worker_id: str) -> None:
-        """Mark a departure's entries dead (physically dropped lazily)."""
+        """Mark a departure's entries dead (physically dropped lazily).
+
+        A parked entry is already out of its list, so it is only forgotten.
+        """
+        parked_domains = self._unpark(worker_id)
         for domain in self._domains:
             recorded = self._recorded.pop((worker_id, domain), None)
-            if recorded is not None:
+            if recorded is not None and domain not in parked_domains:
                 self._dead[(domain, recorded[0])] += 1
 
     def on_qualification_changed(self, worker_id: str, domain: str) -> None:
@@ -168,7 +220,30 @@ class DomainIndexSet:
             self._reindex(worker, domain)
 
     def on_load_changed(self, worker_id: str) -> None:
-        """Deliberate no-op: capacity is read live, never indexed."""
+        """Re-admit a parked worker once it has spare capacity again.
+
+        Called by :meth:`ServingPool.complete_assignment` and
+        :meth:`ServingPool.release_assignment` of whichever pool frees the
+        slot, for every index registered on the worker — so the indexes of
+        other marketplace pools sharing the worker hear it too.  Each
+        parked entry goes back into its list with ``insort`` under its
+        unchanged sort key, i.e. at its old rank.  Calls for a worker that
+        is not parked here, or still saturated, change nothing.
+        """
+        parked = self._parked.get(worker_id)
+        if parked is None:
+            return
+        worker = parked[0]
+        member = self._pool.get(worker_id) is worker
+        if member and not worker.has_capacity:
+            return
+        domains = self._unpark(worker_id)
+        if not member:
+            return
+        for domain in domains:
+            recorded = self._recorded.get((worker_id, domain))
+            if recorded is not None:
+                insort(self._lists[(domain, recorded[0])], (recorded[1], worker_id))
 
     # ------------------------------------------------------------------ #
     # Maintenance
@@ -197,23 +272,39 @@ class DomainIndexSet:
             self._lists[(domain, tier)].sort()
 
     def _reindex(self, worker: ServingWorker, domain: str) -> None:
-        """Record the worker's current ``(tier, estimate)`` on ``domain``."""
+        """Record the worker's current ``(tier, estimate)`` on ``domain``.
+
+        A parked worker's record moves without touching the lists: its old
+        entry is not in them (so nothing turns dead), and the new entry
+        waits for re-admission like the old one did.
+        """
         tier = worker.tier_on(domain)
         neg_estimate = affinity_rank_key(worker.estimate_on(domain), worker.worker_id)[0]
         record_key = (worker.worker_id, domain)
         previous = self._recorded.get(record_key)
         if previous == (tier, neg_estimate):
             return  # the live entry already matches; inserting would duplicate
-        if previous is not None:
+        parked = self._parked.get(worker.worker_id)
+        parked_here = parked is not None and domain in parked[1]
+        if previous is not None and not parked_here:
             self._dead[(domain, previous[0])] += 1
         if tier in INDEXED_TIERS:
-            insort(self._lists[(domain, tier)], (neg_estimate, worker.worker_id))
+            if not parked_here:
+                insort(self._lists[(domain, tier)], (neg_estimate, worker.worker_id))
             self._recorded[record_key] = (tier, neg_estimate)
-        elif previous is not None:
-            del self._recorded[record_key]
+            return
+        self._recorded.pop(record_key, None)
+        if parked_here:
+            del parked[1][domain]
+            if not parked[1]:
+                self._unpark(worker.worker_id)
 
     def _maybe_compact(self, key: IndexKey) -> None:
-        """Rebuild a list once dead entries hit the floor and half the list."""
+        """Rebuild a list once dead entries hit the floor and half the list.
+
+        In place, so a walk suspended over the list keeps walking the one
+        the index maintains.
+        """
         dead = self._dead[key]
         entries = self._lists[key]
         if dead < self._compact_floor or dead * 2 < len(entries):
@@ -228,7 +319,7 @@ class DomainIndexSet:
                     live.append(entry)
             elif self._recorded.get((entry[1], domain)) == (tier, entry[0]):
                 del self._recorded[(entry[1], domain)]
-        self._lists[key] = live
+        entries[:] = live
         self._dead[key] = 0
 
     # ------------------------------------------------------------------ #

@@ -34,6 +34,13 @@ listener does not define are skipped; hooks decorated with
 :func:`pool_event_noop` are skipped too, *without even a call* — dispatch
 is pre-bound per hook when the listener subscribes, which keeps the
 high-frequency load events free for routers that don't care about load.
+
+Freed slots take one more path that is not a listener hook: the
+``domain_affinity`` index parks saturated workers off its rankings and
+registers itself on the worker (``ServingWorker.parked_in``), so
+:meth:`complete_assignment` and :meth:`release_assignment` re-admit the
+worker in every index that parked it — also the indexes of other
+marketplace pools sharing the worker — without a per-vote load event.
 """
 
 from __future__ import annotations
@@ -80,6 +87,11 @@ class ServingWorker:
     active: int = 0
     assigned_total: int = 0
     completed_total: int = 0
+    #: Routing indexes that took this worker off their rankings while it
+    #: was saturated (:class:`~repro.serving.index.DomainIndexSet`).  The
+    #: record is shared by every marketplace pool holding the worker, so a
+    #: slot freed through any of them re-admits it everywhere.
+    parked_in: List[object] = field(default_factory=list, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.max_concurrent <= 0:
@@ -96,6 +108,12 @@ class ServingWorker:
     def estimate_on(self, domain: str) -> float:
         qualification = self.qualifications.get(domain)
         return qualification.estimate if qualification is not None else 0.0
+
+
+def _readmit(worker: ServingWorker) -> None:
+    """Tell every index that parked ``worker`` that one of its slots freed."""
+    for index in tuple(worker.parked_in):
+        index.on_load_changed(worker.worker_id)
 
 
 class ServingPool:
@@ -324,6 +342,8 @@ class ServingPool:
             raise RuntimeError(f"worker {worker_id!r} has no in-flight assignment to complete")
         worker.active -= 1
         worker.completed_total += 1
+        if worker.parked_in:
+            _readmit(worker)
         self._notify("on_load_changed", worker_id)
 
     def release_assignment(self, worker_id: str) -> None:
@@ -340,6 +360,8 @@ class ServingPool:
             raise RuntimeError(f"worker {worker_id!r} has no in-flight assignment to release")
         worker.active -= 1
         worker.assigned_total -= 1
+        if worker.parked_in:
+            _readmit(worker)
         self._notify("on_load_changed", worker_id)
 
     def demote(self, worker_id: str, domain: str) -> QualificationTier:

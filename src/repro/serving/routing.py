@@ -23,7 +23,8 @@ concurrency cap by charging assignments through the pool):
     fallback tier only when qualified capacity is exhausted.  Two
     engines: ``indexed`` (the default) walks pre-sorted per-(domain,
     tier) :class:`~repro.serving.index.DomainIndexSet` rankings
-    maintained from the pool event bus — O(votes + log n) per task;
+    maintained from the pool event bus, with saturated workers parked
+    off them until a slot frees — O(votes + log n) per task;
     ``reference`` re-sorts the pool per task — O(n log n) — and exists
     only as the test oracle the equivalence tests hold the index against
     (``DomainAffinityRouter(pool, engine="reference")``).
@@ -518,8 +519,12 @@ class DomainAffinityRouter(BaseRouter):
         the index against.  This constructor is its one entry point: no
         serving config, marketplace config or CLI flag selects it.
 
-    Both check capacity live per candidate and are byte-for-byte
-    equivalent (enforced by ``tests/test_routing_equivalence.py``).
+    Both pick the same workers, byte for byte (enforced by
+    ``tests/test_routing_equivalence.py`` and the differential state
+    machine in ``tests/test_routing_stateful.py``).  The reference checks
+    capacity live on every candidate; the index parks saturated workers
+    off its rankings and re-admits them at the same rank when a slot
+    frees, so it yields only workers with spare capacity.
     """
 
     name = "domain_affinity"
@@ -558,7 +563,11 @@ class DomainAffinityRouter(BaseRouter):
 
     # -- ranking -------------------------------------------------------- #
     def _iter_tier(self, domain: str, tier: QualificationTier) -> Iterator[ServingWorker]:
-        """The tier's members in pinned affinity order, capacity unchecked."""
+        """The tier's members in pinned affinity order.
+
+        The index yields only members with spare capacity; the reference
+        yields every member, and :meth:`_pick` skips the saturated ones.
+        """
         if self._index is not None:
             return self._index.iter_tier(domain, tier)
         candidates = [w for w in self._pool.workers if w.tier_on(domain) is tier]
@@ -568,17 +577,16 @@ class DomainAffinityRouter(BaseRouter):
     def _pick(self, domain: str, n_votes: int, excluded: Optional[Set[str]]) -> List[str]:
         chosen: List[str] = []
         for tier in (QualificationTier.QUALIFIED, QualificationTier.FALLBACK):
-            if len(chosen) >= n_votes:
-                break
             for worker in self._iter_tier(domain, tier):
-                if len(chosen) >= n_votes:
-                    break
                 if excluded is not None and worker.worker_id in excluded:
                     continue
                 if not worker.has_capacity:
                     continue
                 self._pool.begin_assignment(worker.worker_id)
                 chosen.append(worker.worker_id)
+                if len(chosen) >= n_votes:
+                    # Stop before the walk validates one entry too many.
+                    return chosen
         return chosen
 
     def _route(self, domain: str, n_votes: int) -> List[str]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.config import ExperimentConfig
 from repro.core.cpe import CPEConfig
@@ -21,6 +22,13 @@ from repro.platform.tasks import generate_task_bank
 from repro.workers.behavior import LearningWorker, StaticWorker
 from repro.workers.pool import WorkerPool
 from repro.workers.profile import WorkerProfile
+
+# Hypothesis profiles, chosen with ``--hypothesis-profile``.  ``ci`` is
+# bounded and derandomized, so a CI run explores the same examples every
+# time; ``deep`` is for long local bug hunts.  Without the flag hypothesis
+# uses its own defaults.
+settings.register_profile("ci", max_examples=50, deadline=None, derandomize=True)
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
 @pytest.fixture

@@ -5,8 +5,10 @@ per-(domain, tier) rankings maintained from the pool event bus) and
 ``reference`` (re-sort the pool per task).  These tests hold the two
 byte-identical — per pick, per report, and end-to-end through marketplace
 churn — and pin the contracts the index relies on: the pool change-event
-bus, the pinned affinity tie-break, and the lazy-delete/compaction
-bookkeeping of both the qualification indexes and the least-loaded heap.
+bus, the pinned affinity tie-break, the capacity parking and re-admission
+of the qualification indexes (and the O(votes) walk it buys), and the
+lazy-delete/compaction bookkeeping of both those indexes and the
+least-loaded heap.
 """
 
 from __future__ import annotations
@@ -347,20 +349,125 @@ class TestDomainIndexSet:
         pool.add_worker(worker("w9", 0.95))
         assert [w.worker_id for w in index.iter_tier(DOMAIN, QUALIFIED)] == ["w9", "w0"]
 
-    def test_capacity_is_never_indexed(self):
-        # Load changes must not touch the index at all — capacity is read
-        # live by the router, and on_load_changed is a pinned no-op.
+    def test_saturated_worker_is_parked_not_yielded(self):
+        pool = make_pool([0.9, 0.8, 0.7], max_concurrent=1)
+        index = DomainIndexSet(pool)
+        list(index.iter_tier(DOMAIN, QUALIFIED))
+        pool.begin_assignment("w0")
+        assert [w.worker_id for w in index.iter_tier(DOMAIN, QUALIFIED)] == ["w1", "w2"]
+        # Parked, not dead: the entry left the list without turning garbage.
+        assert index.stats()[f"{DOMAIN}/qualified"] == {"entries": 2, "dead": 0}
+        assert pool["w0"].parked_in == [index]
+        assert [w.worker_id for w in index.iter_tier(DOMAIN, QUALIFIED)] == ["w1", "w2"]
+
+    @pytest.mark.parametrize("free", ["complete_assignment", "release_assignment"])
+    def test_parked_worker_returns_at_its_rank_when_a_slot_frees(self, free):
+        pool = make_pool([0.9, 0.8, 0.7], max_concurrent=2)
+        index = DomainIndexSet(pool)
+        pool.begin_assignment("w1")
+        pool.begin_assignment("w1")
+        assert [w.worker_id for w in index.iter_tier(DOMAIN, QUALIFIED)] == ["w0", "w2"]
+        getattr(pool, free)("w1")
+        assert pool["w1"].parked_in == []
+        assert [w.worker_id for w in index.iter_tier(DOMAIN, QUALIFIED)] == ["w0", "w1", "w2"]
+        assert index.stats()[f"{DOMAIN}/qualified"] == {"entries": 3, "dead": 0}
+
+    def test_slot_freed_through_another_pool_readmits(self):
+        # Marketplace pools share ServingWorker objects: a slot freed in
+        # pool A must re-admit the worker in pool B's index.
+        shared = [worker(f"w{i}", estimate, max_concurrent=1) for i, estimate in enumerate([0.9, 0.8])]
+        pool_a, pool_b = ServingPool(shared), ServingPool(shared)
+        index_b = DomainIndexSet(pool_b)
+        pool_a.begin_assignment("w0")
+        assert [w.worker_id for w in index_b.iter_tier(DOMAIN, QUALIFIED)] == ["w1"]
+        pool_a.complete_assignment("w0")
+        assert [w.worker_id for w in index_b.iter_tier(DOMAIN, QUALIFIED)] == ["w0", "w1"]
+
+    def test_parked_worker_demoted_moves_its_record(self):
         pool = make_pool([0.9, 0.8], max_concurrent=1)
         index = DomainIndexSet(pool)
         pool.add_listener(index)
-        list(index.iter_tier(DOMAIN, QUALIFIED))
-        before = index.stats()
+        list(index.iter_tier(DOMAIN, FALLBACK))
         pool.begin_assignment("w0")
+        assert [w.worker_id for w in index.iter_tier(DOMAIN, QUALIFIED)] == ["w1"]
+        pool.demote("w0", DOMAIN)
+        assert index.stats()[f"{DOMAIN}/qualified"] == {"entries": 1, "dead": 0}
+        assert list(index.iter_tier(DOMAIN, FALLBACK)) == []
         pool.complete_assignment("w0")
-        assert index.stats() == before
-        # A saturated worker still appears in the ranking (the router skips it).
+        assert [w.worker_id for w in index.iter_tier(DOMAIN, QUALIFIED)] == ["w1"]
+        assert [w.worker_id for w in index.iter_tier(DOMAIN, FALLBACK)] == ["w0"]
+
+    def test_parked_worker_departing_is_forgotten(self):
+        shared = [worker(f"w{i}", estimate, max_concurrent=1) for i, estimate in enumerate([0.9, 0.8])]
+        pool_a, pool_b = ServingPool(shared), ServingPool(shared)
+        index_b = DomainIndexSet(pool_b)
+        pool_b.add_listener(index_b)
+        pool_a.begin_assignment("w0")
+        list(index_b.iter_tier(DOMAIN, QUALIFIED))
+        pool_b.remove_worker("w0")
+        assert shared[0].parked_in == []
+        assert index_b.stats()[f"{DOMAIN}/qualified"] == {"entries": 1, "dead": 0}
+        pool_a.complete_assignment("w0")
+        assert [w.worker_id for w in index_b.iter_tier(DOMAIN, QUALIFIED)] == ["w1"]
+
+    def test_readmission_during_a_suspended_walk(self):
+        pool = make_pool([0.9, 0.8, 0.7, 0.6], max_concurrent=1)
+        index = DomainIndexSet(pool)
+        pool.begin_assignment("w3")
+        list(index.iter_tier(DOMAIN, QUALIFIED))  # parks w3
         pool.begin_assignment("w0")
-        assert [w.worker_id for w in index.iter_tier(DOMAIN, QUALIFIED)] == ["w0", "w1"]
+        walk = index.iter_tier(DOMAIN, QUALIFIED)
+        assert next(walk).worker_id == "w1"  # w0 parked on the way
+        # w0 re-enters behind the walk, w3 ahead of it: like the live
+        # capacity check of the reference engine, the walk neither repeats
+        # nor revisits what it passed, and reaches what lies ahead.
+        pool.complete_assignment("w0")
+        pool.complete_assignment("w3")
+        assert [w.worker_id for w in walk] == ["w2", "w3"]
+        assert [w.worker_id for w in index.iter_tier(DOMAIN, QUALIFIED)] == ["w0", "w1", "w2", "w3"]
+
+
+class TestWalkCost:
+    """A route validates O(votes) entries, not every saturated worker ranked first."""
+
+    @staticmethod
+    def count_lookups(pool):
+        calls = []
+        lookup = pool.get
+
+        def counting_get(worker_id):
+            calls.append(worker_id)
+            return lookup(worker_id)
+
+        pool.get = counting_get
+        return calls
+
+    def test_saturated_top_half_is_not_walked(self):
+        n_workers, votes = 200, 3
+        pool = make_pool([0.999 - 0.001 * i for i in range(n_workers)], max_concurrent=1)
+        router = DomainAffinityRouter(pool)
+        for _ in range(n_workers // 2):
+            router.route(DOMAIN, 1)  # saturates the top-ranked half, one worker per task
+        assert all(not pool[f"w{i}"].has_capacity for i in range(n_workers // 2))
+        calls = self.count_lookups(pool)
+        # The last single-vote pick is parked on the way, then one entry per vote.
+        assert router.route(DOMAIN, votes) == ["w100", "w101", "w102"]
+        assert calls == ["w99", "w100", "w101", "w102"]
+        del calls[:]
+        # The previous route's picks, the excluded worker, then one entry per vote.
+        assert router.route_excluding(DOMAIN, votes, ["w103"]) == ["w104", "w105", "w106"]
+        assert len(calls) == votes + 1 + votes
+
+    def test_freed_workers_are_walked_again(self):
+        pool = make_pool([0.9 - 0.01 * i for i in range(50)], max_concurrent=1)
+        router = DomainAffinityRouter(pool)
+        picks = [router.route(DOMAIN, 5) for _ in range(5)]
+        for chosen in picks:
+            for worker_id in chosen:
+                pool.complete_assignment(worker_id)
+        calls = self.count_lookups(pool)
+        assert router.route(DOMAIN, 5) == ["w0", "w1", "w2", "w3", "w4"]
+        assert len(calls) == 5
 
 
 class TestPoolEventBus:

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats as sps
 
+from repro.stats import truncated
 from repro.stats.mvn import MultivariateNormalModel
 from repro.stats.truncated import (
     sample_truncated_mvn,
@@ -96,3 +104,57 @@ class TestMultivariateSampling:
         model = MultivariateNormalModel.from_moments([5.0, 5.0], [0.1, 0.1])
         samples = sample_truncated_mvn(model, size=20, rng=0, max_rejection_rounds=2)
         assert np.all((samples > 0.0) & (samples < 1.0))
+
+
+def assert_bit_identical(ours, scipys):
+    """Same type, shape and bits — NaN compared as NaN (scipy's carries no sign)."""
+    assert type(ours) is type(scipys)
+    ours, scipys = np.asarray(ours), np.asarray(scipys)
+    assert ours.shape == scipys.shape
+    nan = np.isnan(scipys)
+    assert np.array_equal(np.isnan(ours), nan)
+    assert ours[~nan].tobytes() == scipys[~nan].tobytes()
+
+
+#: Every float64, including ±inf, ±0, NaN and subnormals.
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+#: Points where the normal's tails are still representable, drawn densely.
+TAIL_FLOAT = st.floats(min_value=-40.0, max_value=40.0)
+#: Probabilities, with the closed ends and values just outside them.
+PROBABILITY = st.floats(min_value=-0.5, max_value=1.5) | st.sampled_from([0.0, 1.0, 0.5, 5e-324])
+
+
+class TestStandardNormalMatchesScipy:
+    """The module's own ndtr/ndtri/pdf equal ``scipy.stats.norm`` bit for bit."""
+
+    @given(ANY_FLOAT | TAIL_FLOAT)
+    def test_scalar_cdf_and_pdf(self, x):
+        assert_bit_identical(truncated._norm_cdf(x), sps.norm.cdf(x))
+        assert_bit_identical(truncated._norm_pdf(x), sps.norm.pdf(x))
+
+    @given(PROBABILITY)
+    def test_scalar_ppf(self, q):
+        assert_bit_identical(truncated._norm_ppf(q), sps.norm.ppf(q))
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=6), elements=TAIL_FLOAT))
+    def test_arrays(self, x):
+        assert_bit_identical(truncated._norm_cdf(x), sps.norm.cdf(x))
+        assert_bit_identical(truncated._norm_pdf(x), sps.norm.pdf(x))
+        q = truncated._norm_cdf(x)
+        assert_bit_identical(truncated._norm_ppf(q), sps.norm.ppf(q))
+
+    def test_scalar_rounding_case(self):
+        # numpy scalar math puts this pdf 1 ulp away from scipy's array loop.
+        x = -2.512427521567873
+        assert_bit_identical(truncated._norm_pdf(x), sps.norm.pdf(x))
+
+
+def test_package_imports_leave_scipy_stats_unloaded():
+    src = str(Path(truncated.__file__).resolve().parents[2])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import repro.campaign, repro.serving, repro.marketplace\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
