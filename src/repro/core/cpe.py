@@ -18,19 +18,22 @@ Implementation notes (DESIGN.md §6):
 
 * the integral is evaluated with Gauss--Legendre quadrature in log space so
   that late rounds with hundreds of tasks per worker do not underflow;
-* ``Sigma`` is parameterised by standard deviations and correlations, and
-  the gradient is taken by central finite differences over that
-  parameterisation (the paper uses backprop; the update rule is identical);
+* ``Sigma`` is parameterised by standard deviations and correlations;
 * workers with missing prior domains are grouped by their observed-domain
   pattern and handled with the corresponding marginal model (Section IV-E);
 * the gradient loop runs on a vectorised engine: a :class:`RoundData` object
   caches everything in Eq. (5) that does not depend on the parameters
   (pattern grouping, the ``(workers x nodes)`` binomial log-table, the
-  quadrature log-tables) once per :meth:`update`, and all ``2P``
-  finite-difference perturbations are evaluated as one stacked
-  ``(2P x workers x nodes)`` computation.  The original one-model-at-a-time
-  path is kept behind ``CPEConfig(likelihood_engine="reference")`` for A/B
-  validation; both engines agree to ~1e-10 and yield identical selections.
+  quadrature log-tables) once per :meth:`update`.  The gradient is the
+  closed form of Eq. (5) — the backpropagation the paper uses, written
+  out: one forward pass builds a ``(workers x nodes)`` table and one
+  backward pass chains it through the Schur-complement conditioning and
+  the ``(sigma, rho)`` parameterisation
+  (:meth:`CrossDomainPerformanceEstimator.objective_gradient`).  Where the
+  closed form is undefined it falls back to central finite differences,
+  evaluated as one stacked ``(2P x workers x nodes)`` computation.  The
+  scalar likelihood with a finite-difference gradient is kept behind
+  ``CPEConfig(likelihood_engine="reference")`` as the test oracle.
 """
 
 from __future__ import annotations
@@ -60,9 +63,9 @@ _LIKELIHOOD_ENGINES = ("vectorized", "reference")
 class RoundData:
     """Parameter-independent precomputation of one round's Eq. (5) likelihood.
 
-    Everything the gradient loop re-uses across its ~``2 P G`` objective
-    evaluations but that depends only on the *data* of the round — not on
-    the model parameters — is computed once here:
+    Everything the gradient loop re-uses across its ``G`` gradient and
+    line-search evaluations but that depends only on the *data* of the
+    round — not on the model parameters — is computed once here:
 
     Attributes
     ----------
@@ -113,9 +116,10 @@ class CPEConfig:
         Gradient-descent step sizes for the mean vector and the covariance
         parameters (standard deviations + correlations).  The paper reports
         ``r1 = 1e-7`` / ``r2 = 1e-4`` for its autodiff parameterisation;
-        the finite-difference parameterisation used here has differently
-        scaled gradients, so the defaults are re-calibrated while keeping
-        ``r1 << r2`` (the mean moves much more slowly than the covariance).
+        the per-worker, norm-capped gradient of the ``(sigma, rho)``
+        parameterisation used here is scaled differently, so the defaults
+        are re-calibrated while keeping ``r1 << r2`` (the mean moves much
+        more slowly than the covariance).
     n_epochs:
         Number of gradient steps per round (the paper's ``G = 50``).
     n_quadrature_nodes:
@@ -141,11 +145,12 @@ class CPEConfig:
         ``"prior"`` reproduces the literal form of Eq. (8) (conditional
         expectation given the profile only) and is kept for ablations.
     likelihood_engine:
-        ``"vectorized"`` (default) runs the gradient update on the stacked
-        :class:`RoundData` engine — one batched evaluation per epoch instead
-        of ``2P`` independent objective calls.  ``"reference"`` keeps the
-        original scalar path; it computes the same log-likelihood to ~1e-10
-        and is retained for A/B validation and the hot-path benchmark.
+        ``"vectorized"`` (default) runs the gradient update on the
+        :class:`RoundData` engine with the closed-form Eq. (5) gradient —
+        one forward/backward pass per epoch.  ``"reference"`` is the test
+        oracle: the scalar likelihood, which agrees with the vectorized one
+        to ~1e-10, and central finite differences of it for the gradient.
+        It is also the baseline of the hot-path benchmark.
     """
 
     initial_target_mean: float = 0.5
@@ -428,13 +433,12 @@ class CrossDomainPerformanceEstimator:
     ) -> np.ndarray:
         """Eq. (5) log-likelihood of ``data`` under ``B`` stacked models.
 
-        This is the hot path of :meth:`update`: the whole finite-difference
-        perturbation stack is evaluated as a single
-        ``(B x workers x nodes)`` log-space computation on top of the
-        cached ``data.binomial_term``.  The log-sum-exp over the node axis
-        is done in place on that one array — at ``B = 2P`` perturbations the
-        table is the dominant allocation, and avoiding scratch copies of it
-        is worth ~2x on the full update.
+        This is the line-search objective of :meth:`update` (``B = 1``) and,
+        in the finite-difference fallback, the whole ``B = 2P`` perturbation
+        stack, evaluated as a single ``(B x workers x nodes)`` log-space
+        computation on top of the cached ``data.binomial_term``.  The
+        log-sum-exp over the node axis is done in place on that one array,
+        the dominant allocation, with no scratch copies of it.
         """
         cond_means, cond_vars = self._stacked_conditional_parameters(means, covariances, data)
         std = np.sqrt(cond_vars)  # (B, W)
@@ -464,9 +468,97 @@ class CrossDomainPerformanceEstimator:
         means, covariances = MultivariateNormalModel.stack_moments(list(models))
         return self._stacked_log_likelihood(means, covariances, data)
 
-    def log_likelihood_cached(self, model: MultivariateNormalModel, data: RoundData) -> float:
-        """Single-model evaluation on a prepared round (fast path of Eq. 5)."""
-        return float(self.log_likelihood_batch([model], data)[0])
+    def objective_stack(self, thetas: np.ndarray, data: RoundData) -> np.ndarray:
+        """The update's objective at each row of a ``(B, P)`` packed-parameter matrix.
+
+        The objective is the negative Eq. (5) log-likelihood per worker.  The
+        per-worker normalisation keeps the gradient scale comparable across
+        pool sizes, so one learning-rate setting works for the 27-worker
+        RW-1 and the 160-worker S-4 alike.
+        """
+        means, covariances = MultivariateNormalModel.unpack_moment_stack(thetas, self.target_index + 1)
+        return -self._stacked_log_likelihood(means, covariances, data) / max(data.n_workers, 1)
+
+    def objective_gradient(
+        self,
+        theta: np.ndarray,
+        data: RoundData,
+        mask: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Gradient of :meth:`objective_stack` at ``theta``, zero where ``mask`` is ``False``.
+
+        The closed form (:meth:`_log_likelihood_gradient`) costs one
+        ``(workers x nodes)`` table.  Where it is undefined — the
+        correlations at ``theta`` would be projected, or a conditioning
+        system is singular — the gradient is central finite differences of
+        :meth:`objective_stack` instead.
+        """
+        theta = np.asarray(theta, dtype=float)
+        gradient = self._log_likelihood_gradient(theta, data)
+        if gradient is None:
+            return finite_difference_gradient_batch(
+                lambda thetas: self.objective_stack(thetas, data), theta, step=1e-5, mask=mask
+            )
+        gradient *= -1.0 / max(data.n_workers, 1)
+        if mask is not None:
+            gradient[~np.asarray(mask, dtype=bool)] = 0.0
+        return gradient
+
+    def _log_likelihood_gradient(self, theta: np.ndarray, data: RoundData) -> Optional[np.ndarray]:
+        """Closed-form gradient of Eq. (5) with respect to the packed parameters.
+
+        Forward: each worker's conditional moments ``(m_i, v_i)`` and the
+        softmax weights ``p_ij`` of the log-integrand over the quadrature
+        nodes ``h_j``.  Then ``dL/dm_i = sum_j p_ij (h_j - m_i) / v_i`` and
+        ``dL/dv_i = sum_j p_ij (h_j - m_i)^2 / (2 v_i^2) - 1 / (2 v_i)``,
+        zero where the conditional-variance floor binds.  Backward: each
+        pattern's conditioning pullback, then the ``(sigma, rho)``
+        parameterisation.  Returns ``None`` where the closed form is
+        undefined (see :meth:`objective_gradient`).
+        """
+        dimension = self.target_index + 1
+        arrays = MultivariateNormalModel.unpack_stack_arrays(theta[None, :], dimension)
+        if arrays is None:
+            return None
+        mean, sigma, rho = (array[0] for array in arrays)
+        covariance = rho * np.outer(sigma, sigma)
+
+        cond_means = np.empty(data.n_workers)
+        cond_vars = np.empty(data.n_workers)
+        pullbacks = []
+        for pattern, rows, observed in data.patterns:
+            conditional = MultivariateNormalModel.conditional_pullback(
+                mean, covariance, observed, pattern, self.target_index
+            )
+            if conditional is None:
+                return None
+            pattern_means, pattern_var, pullback = conditional
+            cond_means[rows] = pattern_means
+            cond_vars[rows] = pattern_var
+            pullbacks.append((rows, pullback))
+        floor = self._config.min_conditional_std**2
+        free = cond_vars > floor
+        cond_vars = np.maximum(cond_vars, floor)
+
+        # Softmax over the nodes of the log-integrand; its node-independent
+        # terms (-log v_i / 2 - log(2 pi) / 2) cancel.
+        diff = data.rule.nodes[None, :] - cond_means[:, None]
+        squared = diff * diff
+        weights = data.binomial_term - squared * (0.5 / cond_vars)[:, None]
+        weights -= np.max(weights, axis=1, keepdims=True)
+        np.exp(weights, out=weights)
+        weights /= np.sum(weights, axis=1, keepdims=True)
+        grad_means = np.sum(weights * diff, axis=1) / cond_vars
+        grad_vars = (np.sum(weights * squared, axis=1) / cond_vars - 1.0) / (2.0 * cond_vars)
+        grad_vars[~free] = 0.0
+
+        grad_mean = np.zeros(dimension)
+        grad_cov = np.zeros((dimension, dimension))
+        for rows, pullback in pullbacks:
+            pattern_mean, pattern_cov = pullback(grad_means[rows], float(np.sum(grad_vars[rows])))
+            grad_mean += pattern_mean
+            grad_cov += pattern_cov
+        return MultivariateNormalModel.parameter_gradient(theta, sigma, rho, grad_mean, grad_cov)
 
     # ------------------------------------------------------------------ #
     # Update (Algorithm 1, step 4 / Eq. 6-7)
@@ -507,20 +599,10 @@ class CrossDomainPerformanceEstimator:
             data = self.prepare_round(accuracies, correct, wrong)
 
             def objective(theta: np.ndarray) -> float:
-                # Per-worker normalisation keeps the gradient scale comparable
-                # across pool sizes, so one learning-rate setting works for
-                # the 27-worker RW-1 and the 160-worker S-4 alike.
-                candidate = MultivariateNormalModel.unpack_parameters(theta, dimension)
-                return -self.log_likelihood_cached(candidate, data) / n_workers
-
-            def objective_batch(thetas: np.ndarray) -> np.ndarray:
-                means, covariances = MultivariateNormalModel.unpack_moment_stack(thetas, dimension)
-                return -self._stacked_log_likelihood(means, covariances, data) / n_workers
+                return float(self.objective_stack(theta[None, :], data)[0])
 
             def raw_gradient(theta: np.ndarray) -> np.ndarray:
-                return finite_difference_gradient_batch(
-                    objective_batch, theta, step=1e-5, mask=mask
-                )
+                return self.objective_gradient(theta, data, mask)
 
         else:
 
@@ -538,7 +620,7 @@ class CrossDomainPerformanceEstimator:
             clipped = np.asarray(theta, dtype=float).copy()
             clipped[mean_slice] = np.clip(clipped[mean_slice], 0.01, 0.99)
             clipped[sigma_slice] = np.clip(clipped[sigma_slice], 0.02, 0.6)
-            return MultivariateNormalModel.unpack_parameters(clipped, dimension).pack_parameters()
+            return MultivariateNormalModel.canonical_parameters(clipped, dimension)
 
         def normalised_gradient(theta: np.ndarray) -> np.ndarray:
             # The likelihood surface is steep along the correlation axes when

@@ -108,7 +108,7 @@ _CHILD_TYPES = {
 class Metric:
     """A metric family: a name/kind/help plus one child per label-values."""
 
-    __slots__ = ("name", "kind", "help", "label_names", "volatile", "bounds", "_children")
+    __slots__ = ("name", "kind", "help", "label_names", "volatile", "bounds", "_children", "_default")
 
     def __init__(
         self,
@@ -137,6 +137,9 @@ class Metric:
                 raise ValueError(f"bounds only apply to histograms, not {kind!r}")
             self.bounds = None
         self._children: Dict[Tuple[str, ...], object] = {}
+        # The label-less child, cached on first use so an untouched family
+        # keeps no series (and stays out of snapshots).
+        self._default: Optional[object] = None
 
     # ------------------------------------------------------------------ #
     # Child access
@@ -164,20 +167,21 @@ class Metric:
                 f"metric {self.name!r} is labelled {self.label_names!r}; "
                 "call .labels(...) first"
             )
-        return self.labels()
+        self._default = self.labels()
+        return self._default
 
     # Convenience passthroughs for label-less families.
     def inc(self, amount: Number = 1) -> None:
-        self._default_child().inc(amount)
+        (self._default or self._default_child()).inc(amount)
 
     def dec(self, amount: Number = 1) -> None:
-        self._default_child().dec(amount)
+        (self._default or self._default_child()).dec(amount)
 
     def set(self, value: Number) -> None:
-        self._default_child().set(value)
+        (self._default or self._default_child()).set(value)
 
     def observe(self, value: Number) -> None:
-        self._default_child().observe(value)
+        (self._default or self._default_child()).observe(value)
 
     # ------------------------------------------------------------------ #
     # Export

@@ -125,18 +125,21 @@ def generate_task_bank(
     if not 0.0 <= positive_rate <= 1.0:
         raise ValueError("positive_rate must lie in [0, 1]")
     generator = as_generator(rng)
+    # One draw for every label reproduces the per-task scalar draws bit for
+    # bit (learning tasks first, then working tasks).
+    gold_labels = (generator.uniform(size=n_learning + n_working) < positive_rate).tolist()
 
-    def _make(kind: TaskKind, index: int) -> Task:
+    def _make(kind: TaskKind, index: int, gold_label: bool) -> Task:
         return Task(
             task_id=f"{domain}-{kind.value}-{index:04d}",
             domain=domain,
             kind=kind,
-            gold_label=bool(generator.uniform() < positive_rate),
+            gold_label=gold_label,
             prompt=prompt_template.format(domain=domain, index=index),
         )
 
-    learning = [_make(TaskKind.LEARNING, i) for i in range(n_learning)]
-    working = [_make(TaskKind.WORKING, i) for i in range(n_working)]
+    learning = [_make(TaskKind.LEARNING, i, gold_labels[i]) for i in range(n_learning)]
+    working = [_make(TaskKind.WORKING, i, gold_labels[n_learning + i]) for i in range(n_working)]
     return TaskBank(domain=domain, learning_tasks=learning, working_tasks=working)
 
 

@@ -184,11 +184,13 @@ class _PendingTask:
 
 
 class _ServiceMetrics:
-    """Pre-bound serving metrics (one object per instrumented service).
+    """The serving metric families (one object per instrumented service).
 
-    Children are resolved once at construction; the serving loop pays a
-    single ``is None`` check when telemetry is off and plain attribute
-    ``inc`` calls when on.
+    Families are resolved once at construction.  A label-less family caches
+    its one child on first use, so a never-touched family keeps no series;
+    the two ``agreed`` children are bound here, and ``drift_demotions`` is
+    resolved per domain.  The serving loop pays a single ``is None`` check
+    when telemetry is off.
     """
 
     __slots__ = (

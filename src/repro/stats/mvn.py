@@ -21,7 +21,8 @@ is applied when correlations drift towards an invalid configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +30,45 @@ _MIN_SIGMA = 1e-4
 _MAX_ABS_RHO = 0.999
 _PD_EPS = 1e-8
 _SOLVE_JITTER = 1e-8
+
+
+@lru_cache(maxsize=None)
+def _upper_indices(dimension: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(dimension, k=1)``, built once per dimension (read-only)."""
+    rows, cols = np.triu_indices(dimension, k=1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
+@lru_cache(maxsize=None)
+def _identity(dimension: int) -> np.ndarray:
+    """``np.eye(dimension)``, built once per dimension (read-only)."""
+    eye = np.eye(dimension)
+    eye.flags.writeable = False
+    return eye
+
+
+def _correlation_stack(upper: np.ndarray, dimension: int) -> np.ndarray:
+    """``(B, d, d)`` unit-diagonal symmetric matrices from ``(B, d(d-1)/2)`` upper triangles."""
+    rhos = np.broadcast_to(_identity(dimension), (upper.shape[0], dimension, dimension)).copy()
+    rows, cols = _upper_indices(dimension)
+    rhos[:, rows, cols] = upper
+    rhos[:, cols, rows] = upper
+    return rhos
+
+
+def _passes_cholesky_check(rhos: np.ndarray) -> bool:
+    """Whether every correlation matrix in ``rhos`` is usable as it stands.
+
+    This is the check :meth:`MultivariateNormalModel._normalise_rho` applies
+    before it decides to project a correlation matrix.
+    """
+    try:
+        np.linalg.cholesky(rhos + _PD_EPS * _identity(rhos.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _robust_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -159,9 +199,7 @@ class MultivariateNormalModel:
         self.rho = 0.5 * (self.rho + self.rho.T)
         self.rho = np.clip(self.rho, -_MAX_ABS_RHO, _MAX_ABS_RHO)
         np.fill_diagonal(self.rho, 1.0)
-        try:
-            np.linalg.cholesky(self.rho + _PD_EPS * np.eye(self.dimension))
-        except np.linalg.LinAlgError:
+        if not _passes_cholesky_check(self.rho):
             projected = nearest_positive_definite(self.rho, eps=1e-4)
             scale = np.sqrt(np.clip(np.diag(projected), _MIN_SIGMA**2, None))
             projected = projected / np.outer(scale, scale)
@@ -213,7 +251,7 @@ class MultivariateNormalModel:
         mu_o = self.mean[obs]
         mu_t = self.mean[target_index]
 
-        jittered = sigma_oo + _SOLVE_JITTER * np.eye(len(obs))
+        jittered = sigma_oo + _SOLVE_JITTER * _identity(len(obs))
         solve = _robust_solve(jittered, observed_values - mu_o)
         cond_mean = mu_t + float(sigma_to @ solve)
         weights = _robust_solve(jittered, sigma_to)
@@ -244,7 +282,7 @@ class MultivariateNormalModel:
             return means, float(self.covariance[target_index, target_index])
 
         cov = self.covariance
-        sigma_oo = cov[np.ix_(obs, obs)] + _SOLVE_JITTER * np.eye(obs.size)
+        sigma_oo = cov[np.ix_(obs, obs)] + _SOLVE_JITTER * _identity(obs.size)
         sigma_to = cov[target_index, obs]
         sigma_tt = cov[target_index, target_index]
         weights = _robust_solve(sigma_oo, sigma_to)
@@ -276,8 +314,7 @@ class MultivariateNormalModel:
     # ------------------------------------------------------------------ #
     def pack_parameters(self) -> np.ndarray:
         """Flatten ``(mu, sigma, upper-triangular rho)`` into one vector."""
-        iu = np.triu_indices(self.dimension, k=1)
-        return np.concatenate([self.mean, self.sigma, self.rho[iu]])
+        return np.concatenate([self.mean, self.sigma, self.rho[_upper_indices(self.dimension)]])
 
     @staticmethod
     def parameter_slices(dimension: int) -> Tuple[slice, slice, slice]:
@@ -296,11 +333,27 @@ class MultivariateNormalModel:
         mean_s, sigma_s, rho_s = cls.parameter_slices(dimension)
         mean = vector[mean_s]
         sigma = np.clip(vector[sigma_s], _MIN_SIGMA, None)
-        rho = np.eye(dimension)
-        iu = np.triu_indices(dimension, k=1)
-        rho[iu] = np.clip(vector[rho_s], -_MAX_ABS_RHO, _MAX_ABS_RHO)
-        rho = rho + rho.T - np.eye(dimension)
+        eye = _identity(dimension)
+        rho = eye.copy()
+        rho[_upper_indices(dimension)] = np.clip(vector[rho_s], -_MAX_ABS_RHO, _MAX_ABS_RHO)
+        rho = rho + rho.T - eye
         return cls(mean=mean, sigma=sigma, rho=rho)
+
+    @classmethod
+    def canonical_parameters(cls, vector: np.ndarray, dimension: int) -> np.ndarray:
+        """``unpack_parameters(vector, dimension).pack_parameters()``, without the model.
+
+        When the clipped correlations pass the Cholesky check (almost always)
+        this is a pure array clip; otherwise the scalar path projects them.
+        """
+        vector = np.asarray(vector, dtype=float)
+        _, sigma_s, rho_s = cls.parameter_slices(dimension)
+        canonical = vector.copy()
+        canonical[sigma_s] = np.clip(vector[sigma_s], _MIN_SIGMA, None)
+        canonical[rho_s] = np.clip(vector[rho_s], -_MAX_ABS_RHO, _MAX_ABS_RHO)
+        if _passes_cholesky_check(_correlation_stack(canonical[None, rho_s], dimension)):
+            return canonical
+        return cls.unpack_parameters(vector, dimension).pack_parameters()
 
     @classmethod
     def unpack_parameter_matrix(
@@ -332,22 +385,33 @@ class MultivariateNormalModel:
         scalar path one by one, so the results are identical in every case.
         """
         matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        n_batch = matrix.shape[0]
+        arrays = cls.unpack_stack_arrays(matrix, dimension)
+        if arrays is None:
+            models = [cls.unpack_parameters(row, dimension) for row in matrix]
+            return cls.stack_moments(models)
+        means, sigmas, rhos = arrays
+        covariances = rhos * (sigmas[:, :, None] * sigmas[:, None, :])
+        return means, covariances
+
+    @classmethod
+    def unpack_stack_arrays(
+        cls, matrix: np.ndarray, dimension: int
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Batched unpack to ``(means, sigmas, rhos)``, or ``None`` if any row needs projecting.
+
+        ``matrix`` is a ``(B, n_params)`` float array.  The arrays equal
+        ``unpack_parameters(row)``'s ``mean``, ``sigma`` and ``rho`` for
+        every row, provided all the clipped correlation matrices pass the
+        Cholesky check.  If one fails, ``None`` is returned and the caller
+        decides how to handle the projection ``_normalise_rho`` would apply.
+        """
         mean_s, sigma_s, rho_s = cls.parameter_slices(dimension)
         means = matrix[:, mean_s].copy()
         sigmas = np.clip(matrix[:, sigma_s], _MIN_SIGMA, None)
-        rhos = np.broadcast_to(np.eye(dimension), (n_batch, dimension, dimension)).copy()
-        iu = np.triu_indices(dimension, k=1)
-        clipped = np.clip(matrix[:, rho_s], -_MAX_ABS_RHO, _MAX_ABS_RHO)
-        rhos[:, iu[0], iu[1]] = clipped
-        rhos[:, iu[1], iu[0]] = clipped
-        try:
-            np.linalg.cholesky(rhos + _PD_EPS * np.eye(dimension))
-        except np.linalg.LinAlgError:
-            models = [cls.unpack_parameters(row, dimension) for row in matrix]
-            return cls.stack_moments(models)
-        covariances = rhos * (sigmas[:, :, None] * sigmas[:, None, :])
-        return means, covariances
+        rhos = _correlation_stack(np.clip(matrix[:, rho_s], -_MAX_ABS_RHO, _MAX_ABS_RHO), dimension)
+        if not _passes_cholesky_check(rhos):
+            return None
+        return means, sigmas, rhos
 
     @staticmethod
     def stack_moments(
@@ -400,7 +464,7 @@ class MultivariateNormalModel:
             cond_vars = covariances[:, target_index, target_index].copy()
             return cond_means, np.maximum(cond_vars, _MIN_SIGMA**2)
 
-        sigma_oo = covariances[:, obs[:, None], obs[None, :]] + _SOLVE_JITTER * np.eye(obs.size)
+        sigma_oo = covariances[:, obs[:, None], obs[None, :]] + _SOLVE_JITTER * _identity(obs.size)
         sigma_to = covariances[:, target_index, :][:, obs]
         sigma_tt = covariances[:, target_index, target_index]
         try:
@@ -415,6 +479,96 @@ class MultivariateNormalModel:
         cond_means = means[:, target_index, None] + np.einsum("brm,bm->br", centered, weights)
         cond_vars = sigma_tt - np.einsum("bm,bm->b", sigma_to, weights)
         return cond_means, np.maximum(cond_vars, _MIN_SIGMA**2)
+
+    @staticmethod
+    def conditional_pullback(
+        mean: np.ndarray,
+        covariance: np.ndarray,
+        observed_matrix: np.ndarray,
+        observed_indices: Sequence[int],
+        target_index: int,
+    ) -> Optional[Tuple[np.ndarray, float, Callable[[np.ndarray, float], Tuple[np.ndarray, np.ndarray]]]]:
+        """:meth:`conditional_batch` for one model, with its reverse-mode derivative.
+
+        Returns ``(cond_means, cond_var, pullback)``, or ``None`` when the
+        conditioning system is singular.  ``pullback(grad_means, grad_var)``
+        maps the gradient of a scalar with respect to the ``(R,)``
+        conditional means and the shared conditional variance to its
+        gradient with respect to ``mean`` and ``covariance``, each
+        covariance entry taken as independent (see
+        :meth:`parameter_gradient`).  With ``S`` the jittered observed block,
+        ``s`` the target-observed covariances, ``w = S^-1 s``, ``g`` the
+        mean gradients, ``G_v`` the variance gradient and
+        ``a = sum_i g_i (x_i - mu_o)``::
+
+            d/d mu_t = sum_i g_i         d/d mu_o = -(sum_i g_i) w
+            d/d s    = S^-1 a - 2 G_v w  d/d S    = -(S^-1 a) w^T + G_v w w^T
+            d/d Sigma_tt = G_v           (0 where the variance floor binds)
+        """
+        obs = np.asarray(list(observed_indices), dtype=int)
+        dimension = mean.shape[0]
+        n_rows = observed_matrix.shape[0]
+        sigma_tt = covariance[target_index, target_index]
+        if obs.size == 0:
+            weights = None
+            cond_means = np.full(n_rows, mean[target_index])
+            variance = sigma_tt
+        else:
+            system = covariance[np.ix_(obs, obs)] + _SOLVE_JITTER * _identity(obs.size)
+            sigma_to = covariance[target_index, obs]
+            try:
+                weights = np.linalg.solve(system, sigma_to)
+            except np.linalg.LinAlgError:
+                return None
+            centered = observed_matrix - mean[obs]
+            cond_means = mean[target_index] + centered @ weights
+            variance = sigma_tt - sigma_to @ weights
+        floored = variance <= _MIN_SIGMA**2
+
+        def pullback(grad_means: np.ndarray, grad_var: float) -> Tuple[np.ndarray, np.ndarray]:
+            grad_var = 0.0 if floored else grad_var
+            total = float(np.sum(grad_means))
+            grad_mean = np.zeros(dimension)
+            grad_cov = np.zeros((dimension, dimension))
+            grad_mean[target_index] = total
+            grad_cov[target_index, target_index] = grad_var
+            if weights is not None:
+                solved = np.linalg.solve(system, centered.T @ grad_means)
+                grad_mean[obs] = -total * weights
+                grad_cov[target_index, obs] = solved - 2.0 * grad_var * weights
+                grad_cov[np.ix_(obs, obs)] = np.outer(grad_var * weights - solved, weights)
+            return grad_mean, grad_cov
+
+        return cond_means, max(float(variance), _MIN_SIGMA**2), pullback
+
+    @classmethod
+    def parameter_gradient(
+        cls,
+        vector: np.ndarray,
+        sigma: np.ndarray,
+        rho: np.ndarray,
+        grad_mean: np.ndarray,
+        grad_cov: np.ndarray,
+    ) -> np.ndarray:
+        """Chain a gradient with respect to ``(mean, covariance)`` back to the packed vector.
+
+        ``sigma`` and ``rho`` are the unpacked model's (see
+        :meth:`unpack_stack_arrays`); ``grad_cov`` holds the derivative with
+        respect to every covariance entry taken as independent, so it need
+        not be symmetric.  Through ``Sigma_ab = rho_ab sigma_a sigma_b`` each
+        correlation collects both of its entries.  Coordinates held by the
+        unpack's clips (``sigma`` below its floor, ``|rho|`` beyond its
+        bound) get a zero gradient.
+        """
+        vector = np.asarray(vector, dtype=float)
+        _, sigma_s, rho_s = cls.parameter_slices(sigma.shape[0])
+        rows, cols = _upper_indices(sigma.shape[0])
+        weighted = grad_cov * rho
+        grad_sigma = (weighted + weighted.T) @ sigma
+        grad_sigma[vector[sigma_s] < _MIN_SIGMA] = 0.0
+        grad_rho = (grad_cov[rows, cols] + grad_cov[cols, rows]) * (sigma[rows] * sigma[cols])
+        grad_rho[np.abs(vector[rho_s]) > _MAX_ABS_RHO] = 0.0
+        return np.concatenate([grad_mean, grad_sigma, grad_rho])
 
     def with_parameters(self, vector: np.ndarray) -> "MultivariateNormalModel":
         """Return a new model whose parameters are the given packed vector."""

@@ -2,12 +2,13 @@
 
 Two flavours are needed:
 
-* **Vector gradient descent** with finite-difference gradients for the
+* **Vector gradient descent** with a backtracking line search for the
   maximum-likelihood update of the multivariate-normal parameters
-  (Eq. 6-7).  The paper computes gradients by backpropagation; with only
-  ``2(D+1) + (D+1)D/2`` free parameters (14 for the paper's ``D = 3``),
-  central differences of a vectorised likelihood are both simpler and fast
-  enough, and the resulting update rule is identical.
+  (Eq. 6-7).  The caller passes its gradient through the ``gradient=``
+  hook; the CPE passes the closed form of Eq. (5).  Central finite
+  differences — scalar, or from one batched objective call
+  (:func:`finite_difference_gradient_batch`) — are the default, the CPE's
+  fallback where its closed form is undefined, and its test oracle.
 * **Bounded scalar minimisation** for the per-worker learning-rate fit of
   Eq. (11), wrapped around :func:`scipy.optimize.minimize_scalar`.
 """

@@ -11,11 +11,14 @@ Three invariants from the observability contract:
 
 from __future__ import annotations
 
+import hashlib
 import json
+from collections import Counter
 
 from repro.marketplace.lifecycle import CampaignSpec
 from repro.marketplace.orchestrator import MarketplaceOrchestrator
 from repro.obs import CATALOG_BY_NAME, MetricsRegistry, PoolMetricsListener, create_telemetry
+from repro.obs.metrics import Metric
 from repro.serving.pool import ServingPool, ServingWorker
 from repro.serving.qualification import DomainQualification, QualificationTier
 from repro.serving.service import AnnotationService, ServingConfig
@@ -73,6 +76,36 @@ class TestServingInstrumentation:
         _serve(first)
         _serve(second)
         assert first.snapshot_json() == second.snapshot_json()
+
+    def test_snapshot_bytes_are_pinned(self):
+        # How a family resolves its children is an internal matter: the
+        # bytes of this run's snapshot must not move with it.
+        telemetry = create_telemetry()
+        _serve(telemetry)
+        digest = hashlib.sha256(telemetry.snapshot_json().encode("utf-8")).hexdigest()
+        assert digest == "a4c23e20f7d31357aa094c1ecfa9ec30f4fb92df38c3fcdb46975c83bc31ca2a"
+
+    def test_label_less_families_resolve_their_child_once(self, monkeypatch):
+        calls = Counter()
+        labels = Metric.labels
+
+        def counting_labels(metric, *values):
+            calls[metric.name] += 1
+            return labels(metric, *values)
+
+        monkeypatch.setattr(Metric, "labels", counting_labels)
+        telemetry = create_telemetry()
+        report = _serve(telemetry)
+        label_less = {
+            name
+            for name in telemetry.registry.names()
+            if not telemetry.registry.get(name).label_names
+        }
+        # Touched once or many times, a family resolves its child once;
+        # an untouched one never does.
+        assert report.n_answers > 1
+        assert calls["serving.answers.recorded"] == 1
+        assert all(calls[name] <= 1 for name in label_less)
 
     def test_telemetry_does_not_change_the_trace(self):
         plain = _serve(None)

@@ -71,6 +71,20 @@ class TestMetricsRegistry:
             ({"outcome": "ok"}, 1),
         ]
 
+    def test_untouched_label_less_family_has_no_series(self):
+        registry = MetricsRegistry()
+        registry.counter("unit.hits", "hits").inc()
+        registry.counter("unit.untouched", "never incremented")
+        samples = {metric["name"]: metric["samples"] for metric in registry.snapshot()["metrics"]}
+        assert samples["unit.untouched"] == []
+        assert [sample["value"] for sample in samples["unit.hits"]] == [1]
+
+    def test_labelled_family_rejects_label_less_calls(self):
+        family = MetricsRegistry().counter("unit.outcomes", "outcomes", ("outcome",))
+        for _ in range(2):  # the failed lookup caches nothing
+            with pytest.raises(ValueError):
+                family.inc()
+
     def test_gauge_set_and_dec(self):
         registry = MetricsRegistry()
         gauge = registry.gauge("unit.depth", "depth")

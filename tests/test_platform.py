@@ -42,6 +42,18 @@ class TestTasks:
         rate = np.mean([t.gold_label for t in bank.learning_tasks])
         assert rate == pytest.approx(0.8, abs=0.03)
 
+    def test_bank_matches_per_task_draws(self):
+        # The labels are drawn in one call; the bank and the generator's
+        # state after it must equal one scalar draw per task.
+        generator = np.random.default_rng(17)
+        bank = generate_task_bank("d", 23, 11, rng=generator, positive_rate=0.4)
+        reference = np.random.default_rng(17)
+        labels = [bool(reference.uniform() < 0.4) for _ in range(23 + 11)]
+        tasks = bank.learning_tasks + bank.working_tasks
+        assert [task.gold_label for task in tasks] == labels
+        assert all(type(task.gold_label) is bool for task in tasks)
+        assert generator.uniform() == reference.uniform()
+
     def test_take_learning_tasks_cycles(self):
         bank = generate_task_bank("d", 5, 0, rng=0)
         tasks = bank.take_learning_tasks(start_index=3, count=4)
