@@ -91,19 +91,6 @@ class CampaignSpec:
         }
 
 
-class _SharedLoadForwarder:
-    """Pool listener passing load events on to the marketplace's other pools."""
-
-    __slots__ = ("_marketplace", "_pool")
-
-    def __init__(self, marketplace, pool: ServingPool) -> None:
-        self._marketplace = marketplace
-        self._pool = pool
-
-    def on_load_changed(self, worker_id: str) -> None:
-        self._marketplace.forward_load_changed(self._pool, worker_id)
-
-
 class CampaignHandle:
     """One campaign's lifecycle, driven one tick at a time.
 
@@ -214,6 +201,7 @@ class CampaignHandle:
             and not self._scheduled
         ):
             self._merge_labels()
+            self.pool.retire()
             self._transition(CampaignPhase.DONE)
 
     def _step_reselecting(self, tick: int, event: Dict[str, object]) -> None:
@@ -255,11 +243,6 @@ class CampaignHandle:
             telemetry=getattr(self, "_telemetry", None),
             defer_invalidation_finalize=True,
         )
-        # Shared workers' load changes made through this pool must reach
-        # the other campaigns' pools too — when anything there tracks load
-        # (every campaign builds the same router, so this pool tells).
-        if self.pool.has_listeners("on_load_changed"):
-            self.pool.add_listener(_SharedLoadForwarder(self._marketplace, self.pool))
 
     def _deliver_due_answers(self, tick: int) -> List[List[object]]:
         assert self.service is not None
@@ -315,6 +298,10 @@ class CampaignHandle:
         event["reselection_domains"] = list(self.service.reselection_domains)
         self._merge_labels()
         abandoned = self.service.abandon_pending()
+        # The pool is replaced on resume: shared workers stop announcing
+        # their changes to it (its service keeps the drift streams that
+        # re-qualification reads).
+        self.pool.retire()
         self._scheduled.clear()
         for task_id in abandoned:
             self._retry.append(task_id)

@@ -43,7 +43,7 @@ from repro.marketplace.lifecycle import CampaignHandle, CampaignPhase, CampaignS
 from repro.campaign import SelectionManifest
 from repro.obs.timing import perf_counter
 from repro.platform.tasks import Task
-from repro.serving.pool import ServingPool, ServingWorker
+from repro.serving.pool import ServingWorker
 from repro.serving.qualification import (
     QualificationPolicy,
     QualificationTier,
@@ -180,7 +180,6 @@ class Marketplace:
         self._arrival_index = 0
         self._answer_seed = derive_seed(self._seed, "marketplace", "answers")
         self._prestudy_seed = derive_seed(self._seed, "marketplace", "prestudy")
-        self._forwarding_load = False
         self.arrivals_admitted = 0
         self.arrivals_rejected = 0
         self.departures = 0
@@ -198,10 +197,6 @@ class Marketplace:
     def present_ids(self) -> List[str]:
         """Ids of present workers, sorted (the deterministic churn order)."""
         return sorted(gid for gid, worker in self._workers.items() if worker.present)
-
-    def is_present(self, worker_id: str) -> bool:
-        worker = self._workers.get(worker_id)
-        return worker is not None and worker.present
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -423,27 +418,6 @@ class Marketplace:
         correct = bool(draw < accuracy)
         return bool(task.gold_label) if correct else not bool(task.gold_label)
 
-    def forward_load_changed(self, source: ServingPool, worker_id: str) -> None:
-        """Re-announce a load change on every other serving pool holding the worker.
-
-        Pools share :class:`ServingWorker` objects, so a vote charged or
-        released through ``source`` changes the worker's load in every
-        other campaign's pool too.  Without the announcement a
-        ``least_loaded`` heap elsewhere holds a key that no longer matches
-        the worker, drops it as stale, and stalls with the worker idle.
-        The guard stops the re-announced events from bouncing back.
-        """
-        if self._forwarding_load:
-            return
-        self._forwarding_load = True
-        try:
-            for handle in self._handles:
-                pool = handle.pool
-                if pool is not None and pool is not source and handle.phase is CampaignPhase.SERVING:
-                    pool.notify_load_changed(worker_id)
-        finally:
-            self._forwarding_load = False
-
     def requalify(self, handle: CampaignHandle, tick: int) -> List[ServingWorker]:
         """Re-qualify a campaign's candidates from live serving evidence.
 
@@ -470,15 +444,8 @@ class Marketplace:
             ewma = handle.service.tracker.ewma(gid, domain) if handle.service is not None else None
             estimate = float(ewma) if ewma is not None else float(base_estimate)
             requalified = qualification_for(policy, gid, domain, estimate=estimate, questions=questions)
-            worker.serving.qualifications[domain] = requalified
-            if standing is None or standing.tier is not requalified.tier or standing.estimate != requalified.estimate:
-                # The ServingWorker object is shared across campaign pools,
-                # so a re-qualification applied here silently invalidates
-                # every other pool's domain rankings — announce it on each
-                # pool the worker is a member of.
-                for attached in self._handles:
-                    if attached.pool is not None:
-                        attached.pool.notify_qualification_changed(gid, domain)
+            # Announced on every pool holding the shared worker.
+            worker.serving.set_qualification(domain, requalified)
             if requalified.tier > QualificationTier.UNQUALIFIED:
                 candidates.append((-estimate, gid))
         candidates.sort()

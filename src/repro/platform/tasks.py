@@ -13,9 +13,8 @@ algorithms only ever see correctness on *learning* tasks.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, List
+from typing import List
 
 from repro.stats.rng import SeedLike, as_generator
 
@@ -78,17 +77,6 @@ class TaskBank:
     @property
     def n_working(self) -> int:
         return len(self.working_tasks)
-
-    def learning_task_stream(self) -> Iterator[Task]:
-        """Endless stream of learning tasks.
-
-        Algorithm 4 walks through the learning tasks sequentially
-        (``r_{c+1} = r_c + t / |W_c|``); if a configuration requests more
-        learning-task assignments than the bank holds, the stream cycles —
-        the simulator then reuses questions, which only matters for extreme
-        budgets and is flagged by :meth:`AnnotationEnvironment.summary`.
-        """
-        return itertools.cycle(self.learning_tasks) if self.learning_tasks else iter(())
 
     def take_learning_tasks(self, start_index: int, count: int) -> List[Task]:
         """Learning tasks ``start_index .. start_index + count`` (cycled if needed)."""

@@ -28,16 +28,16 @@ The index is *lazily* consistent:
 * **Capacity is indexed by parking.**  A walk that reaches a live entry
   whose worker has no spare capacity deletes the entry from its list and
   records the worker as *parked* on that domain (the worker's recorded
-  ``(tier, estimate)`` stays in place).  The index registers itself on the
-  worker (``ServingWorker.parked_in``), and when a slot frees —
-  ``complete_assignment`` / ``release_assignment`` on *any* pool holding
-  the shared worker — the pool calls :meth:`DomainIndexSet.on_load_changed`,
-  which re-inserts each parked entry with ``insort``.  The sort key never
-  changes, so the worker returns at the same rank.  The router skipped
-  saturated workers anyway, so picks are identical, and a route walks
-  O(votes) entries instead of every saturated worker ranked above the
-  first free ones.  Parking is lazy (a worker is parked the first time a
-  walk finds it full) so the index stays off the per-vote load bus.
+  ``(tier, estimate)`` stays in place).  The index hears every load change
+  of the pool's workers (its router binds :meth:`DomainIndexSet.on_load_changed`
+  as its load hook, and a shared worker announces its load on every pool
+  holding it), so when a slot frees — through *any* marketplace pool —
+  :meth:`on_load_changed` re-inserts each parked entry with ``insort``.
+  The sort key never changes, so the worker returns at the same rank.  The
+  router skipped saturated workers anyway, so picks are identical, and a
+  route walks O(votes) entries instead of every saturated worker ranked
+  above the first free ones.  A load event for a worker that is not
+  parked is one dictionary miss.
 * **Compaction is periodic.**  When a list's dead counter reaches both
   the compaction floor and half the list, the list is rebuilt by one
   linear liveness filter, bounding garbage at ~50% regardless of churn.
@@ -75,10 +75,9 @@ class DomainIndexSet:
     pool:
         The serving pool the index mirrors.  The owner (normally
         :class:`~repro.serving.routing.DomainAffinityRouter`) forwards the
-        pool's membership and qualification hooks here; the index does not
-        subscribe itself, so one pool listener serves both the router and
-        its index.  Load reaches the index only through the workers it
-        parked (see :meth:`on_load_changed`).
+        pool's membership, qualification and load hooks here; the index
+        does not subscribe itself, so one pool listener serves both the
+        router and its index.
     compact_floor:
         Minimum dead entries before a list is compacted (compaction also
         requires the dead to be at least half the list).  Small values
@@ -99,9 +98,8 @@ class DomainIndexSet:
         #: one live entry; anything else in the lists is garbage.  A parked
         #: worker keeps its record while its entry is out of the list.
         self._recorded: Dict[Tuple[str, str], Tuple[QualificationTier, float]] = {}
-        #: Saturated workers taken off the lists: the worker record the
-        #: index registered on, and the domains (ordered set) whose entry
-        #: it removed.
+        #: Saturated workers taken off the lists: the worker record, and
+        #: the domains (ordered set) whose entry it removed.
         self._parked: Dict[str, Tuple[ServingWorker, Dict[str, None]]] = {}
         #: Indexed domains in first-routed order (dict as ordered set).
         self._domains: Dict[str, None] = {}
@@ -173,7 +171,6 @@ class DomainIndexSet:
         parked = self._parked.get(entry[1])
         if parked is None:
             self._parked[entry[1]] = (worker, {domain: None})
-            worker.parked_in.append(self)
         elif domain in parked[1]:
             # Already parked here: the entry was a departed-and-returned
             # worker's identical garbage, not its live entry.
@@ -184,10 +181,7 @@ class DomainIndexSet:
     def _unpark(self, worker_id: str) -> Dict[str, None]:
         """Forget a worker's parked record; returns the domains it held."""
         parked = self._parked.pop(worker_id, None)
-        if parked is None:
-            return {}
-        parked[0].parked_in.remove(self)
-        return parked[1]
+        return parked[1] if parked is not None else {}
 
     # ------------------------------------------------------------------ #
     # Event hooks
@@ -222,25 +216,17 @@ class DomainIndexSet:
     def on_load_changed(self, worker_id: str) -> None:
         """Re-admit a parked worker once it has spare capacity again.
 
-        Called by :meth:`ServingPool.complete_assignment` and
-        :meth:`ServingPool.release_assignment` of whichever pool frees the
-        slot, for every index registered on the worker — so the indexes of
-        other marketplace pools sharing the worker hear it too.  Each
+        Called on every load change of a worker the pool holds, through
+        whichever pool it was made — so a slot freed in another
+        marketplace pool sharing the worker re-admits it here too.  Each
         parked entry goes back into its list with ``insort`` under its
         unchanged sort key, i.e. at its old rank.  Calls for a worker that
         is not parked here, or still saturated, change nothing.
         """
         parked = self._parked.get(worker_id)
-        if parked is None:
+        if parked is None or not parked[0].has_capacity:
             return
-        worker = parked[0]
-        member = self._pool.get(worker_id) is worker
-        if member and not worker.has_capacity:
-            return
-        domains = self._unpark(worker_id)
-        if not member:
-            return
-        for domain in domains:
+        for domain in self._unpark(worker_id):
             recorded = self._recorded.get((worker_id, domain))
             if recorded is not None:
                 insort(self._lists[(domain, recorded[0])], (recorded[1], worker_id))

@@ -20,14 +20,11 @@ listeners registered via :meth:`add_listener` receive
 ``on_worker_added(worker_id)`` / ``on_worker_removed(worker_id)``
     membership changes (:meth:`add_worker` / :meth:`remove_worker`);
 ``on_qualification_changed(worker_id, domain)``
-    a worker's tier or estimate on one domain changed (:meth:`demote`,
-    :meth:`set_qualification`, or an external mutation announced via
-    :meth:`notify_qualification_changed`);
+    a worker's tier or estimate on one domain changed (:meth:`demote` or
+    :meth:`ServingWorker.set_qualification`);
 ``on_load_changed(worker_id)``
     an in-flight slot was charged or released (:meth:`begin_assignment`,
-    :meth:`complete_assignment`, :meth:`release_assignment`, or through
-    another pool sharing the worker, announced via
-    :meth:`notify_load_changed`).
+    :meth:`complete_assignment`, :meth:`release_assignment`).
 
 so a router can never silently route off stale internal state.  Hooks a
 listener does not define are skipped; hooks decorated with
@@ -35,12 +32,15 @@ listener does not define are skipped; hooks decorated with
 is pre-bound per hook when the listener subscribes, which keeps the
 high-frequency load events free for routers that don't care about load.
 
-Freed slots take one more path that is not a listener hook: the
-``domain_affinity`` index parks saturated workers off its rankings and
-registers itself on the worker (``ServingWorker.parked_in``), so
-:meth:`complete_assignment` and :meth:`release_assignment` re-admit the
-worker in every index that parked it — also the indexes of other
-marketplace pools sharing the worker — without a per-vote load event.
+Marketplace pools share one :class:`ServingWorker` record per worker, so
+its load and qualifications are state of *every* pool holding it.  The
+record therefore knows its pools (:attr:`ServingWorker.pools`, kept by
+the pool constructor, :meth:`add_worker` and :meth:`remove_worker`), and
+a load or qualification change — made through any pool, or on the worker
+itself — dispatches its hook on each of them.  That one path carries the
+``least_loaded`` heap keys, the ``domain_affinity`` index's re-admission
+of parked workers, drift demotions and marketplace re-qualifications
+alike.  A pool its owner is done with leaves the path via :meth:`retire`.
 """
 
 from __future__ import annotations
@@ -87,11 +87,9 @@ class ServingWorker:
     active: int = 0
     assigned_total: int = 0
     completed_total: int = 0
-    #: Routing indexes that took this worker off their rankings while it
-    #: was saturated (:class:`~repro.serving.index.DomainIndexSet`).  The
-    #: record is shared by every marketplace pool holding the worker, so a
-    #: slot freed through any of them re-admits it everywhere.
-    parked_in: List[object] = field(default_factory=list, compare=False, repr=False)
+    #: The pools holding this worker, in the order they took it in.  A load
+    #: or qualification change is announced on each of them.
+    pools: List["ServingPool"] = field(default_factory=list, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.max_concurrent <= 0:
@@ -109,11 +107,28 @@ class ServingWorker:
         qualification = self.qualifications.get(domain)
         return qualification.estimate if qualification is not None else 0.0
 
+    def set_qualification(self, domain: str, qualification: DomainQualification) -> None:
+        """Replace the qualification on ``domain`` and announce a real change.
 
-def _readmit(worker: ServingWorker) -> None:
-    """Tell every index that parked ``worker`` that one of its slots freed."""
-    for index in tuple(worker.parked_in):
-        index.on_load_changed(worker.worker_id)
+        The one write path for qualifications (drift demotion through
+        :meth:`ServingPool.demote`, marketplace re-qualification): every
+        pool holding the worker hears ``on_qualification_changed`` when the
+        tier or the estimate moved.
+        """
+        previous = self.qualifications.get(domain)
+        self.qualifications[domain] = qualification
+        if (
+            previous is None
+            or previous.tier is not qualification.tier
+            or previous.estimate != qualification.estimate
+        ):
+            self.announce("on_qualification_changed", self.worker_id, domain)
+
+    def announce(self, hook: str, *args: str) -> None:
+        """Dispatch a load or qualification hook on every pool holding the worker."""
+        for pool in self.pools:
+            for callback in pool._hooks[hook]:
+                callback(*args)
 
 
 class ServingPool:
@@ -140,6 +155,8 @@ class ServingPool:
             self._workers[worker.worker_id] = worker
         if not self._workers:
             raise ValueError("a serving pool must contain at least one worker")
+        for worker in self._workers.values():
+            worker.pools.append(self)
 
     # ------------------------------------------------------------------ #
     # Construction from a finished selection
@@ -274,10 +291,6 @@ class ServingPool:
                     callbacks.append(callback)
             self._hooks[hook] = callbacks
 
-    def has_listeners(self, hook: str) -> bool:
-        """Whether any subscribed listener handles ``hook`` (no-op hooks excluded)."""
-        return bool(self._hooks[hook])
-
     def _notify(self, hook: str, *args: str) -> None:
         for callback in self._hooks[hook]:
             callback(*args)
@@ -287,6 +300,7 @@ class ServingPool:
         if worker.worker_id in self._workers:
             raise ValueError(f"duplicate worker id: {worker.worker_id!r}")
         self._workers[worker.worker_id] = worker
+        worker.pools.append(self)
         self._notify("on_worker_added", worker.worker_id)
 
     def remove_worker(self, worker_id: str) -> ServingWorker:
@@ -297,13 +311,30 @@ class ServingPool:
         :meth:`~repro.serving.service.AnnotationService.invalidate_worker`)
         while the worker is still a member.  Removal may empty the pool;
         routers then raise ``NoEligibleWorkersError`` until an arrival
-        refills it.
+        refills it.  Works on a retired pool too.
         """
         if worker_id not in self._workers:
             raise KeyError(f"unknown worker id: {worker_id!r}")
         worker = self._workers.pop(worker_id)
+        if self in worker.pools:
+            worker.pools.remove(self)
         self._notify("on_worker_removed", worker_id)
         return worker
+
+    def retire(self) -> None:
+        """Stop hearing the workers' load and qualification changes.
+
+        For a pool its owner has replaced or finished with (a marketplace
+        campaign that re-selects or completes): the pool unlinks itself
+        from every member's :attr:`~ServingWorker.pools`, so a shared
+        worker's later changes no longer reach its listeners.  Membership
+        stays and no ``on_worker_removed`` fires, so the pool's service
+        keeps its drift streams for re-qualification, and
+        :meth:`remove_worker` still works.
+        """
+        for worker in self._workers.values():
+            if self in worker.pools:
+                worker.pools.remove(self)
 
     # ------------------------------------------------------------------ #
     # Eligibility and load
@@ -333,7 +364,7 @@ class ServingPool:
             )
         worker.active += 1
         worker.assigned_total += 1
-        self._notify("on_load_changed", worker_id)
+        worker.announce("on_load_changed", worker_id)
 
     def complete_assignment(self, worker_id: str) -> None:
         """Release one in-flight assignment (answer received or abandoned)."""
@@ -342,9 +373,7 @@ class ServingPool:
             raise RuntimeError(f"worker {worker_id!r} has no in-flight assignment to complete")
         worker.active -= 1
         worker.completed_total += 1
-        if worker.parked_in:
-            _readmit(worker)
-        self._notify("on_load_changed", worker_id)
+        worker.announce("on_load_changed", worker_id)
 
     def release_assignment(self, worker_id: str) -> None:
         """Undo a routing charge without counting it as completed work.
@@ -360,15 +389,14 @@ class ServingPool:
             raise RuntimeError(f"worker {worker_id!r} has no in-flight assignment to release")
         worker.active -= 1
         worker.assigned_total -= 1
-        if worker.parked_in:
-            _readmit(worker)
-        self._notify("on_load_changed", worker_id)
+        worker.announce("on_load_changed", worker_id)
 
     def demote(self, worker_id: str, domain: str) -> QualificationTier:
         """Drop the worker one tier on ``domain``; returns the new tier.
 
         Under a policy with ``allow_fallback=False`` the fallback tier is
-        skipped: a qualified worker demotes straight to unqualified.
+        skipped: a qualified worker demotes straight to unqualified.  The
+        worker is shared, so every pool holding it hears the change.
         """
         worker = self[worker_id]
         qualification = worker.qualifications.get(domain)
@@ -381,52 +409,8 @@ class ServingPool:
             and not self._policy.allow_fallback
         ):
             demoted = demoted.demoted()
-        worker.qualifications[domain] = demoted
-        if demoted.tier is not qualification.tier:
-            self._notify("on_qualification_changed", worker_id, domain)
-        return worker.qualifications[domain].tier
-
-    def set_qualification(
-        self, worker_id: str, domain: str, qualification: DomainQualification
-    ) -> None:
-        """Replace the worker's qualification on ``domain`` and notify.
-
-        The sanctioned write path for re-qualification (marketplace
-        returners): routing indexes hear about the change immediately
-        instead of discovering a stale ranking mid-route.
-        """
-        worker = self[worker_id]
-        previous = worker.qualifications.get(domain)
-        worker.qualifications[domain] = qualification
-        if (
-            previous is None
-            or previous.tier is not qualification.tier
-            or previous.estimate != qualification.estimate
-        ):
-            self._notify("on_qualification_changed", worker_id, domain)
-
-    def notify_qualification_changed(self, worker_id: str, domain: str) -> None:
-        """Announce an external qualification mutation on a member worker.
-
-        Marketplace pools share ``ServingWorker`` objects across
-        campaigns, so a re-qualification applied through one pool must be
-        announced to every *other* pool holding the same record.  Unknown
-        workers are ignored — the mutation cannot affect a pool the worker
-        is not a member of.
-        """
-        if worker_id in self._workers:
-            self._notify("on_qualification_changed", worker_id, domain)
-
-    def notify_load_changed(self, worker_id: str) -> None:
-        """Announce a load change made through another pool on a member worker.
-
-        The load counterpart of :meth:`notify_qualification_changed`: a
-        vote charged or released through one marketplace pool changes the
-        shared worker's load in every pool that holds it.  Unknown workers
-        are ignored.
-        """
-        if worker_id in self._workers:
-            self._notify("on_load_changed", worker_id)
+        worker.set_qualification(domain, demoted)
+        return demoted.tier
 
     # ------------------------------------------------------------------ #
     def load_snapshot(self) -> Dict[str, Dict[str, int]]:

@@ -212,14 +212,6 @@ class QualityTracker:
         """
         self._streams.pop(worker_id, None)
 
-    def drifting_workers(self, domain: str) -> List[str]:
-        """Workers with at least one drift event on ``domain``, in first-drift order."""
-        seen: Dict[str, None] = {}
-        for event in self._events:
-            if event.domain == domain:
-                seen.setdefault(event.worker_id, None)
-        return list(seen)
-
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """``{worker: {domain: fast_ewma}}`` for every warmed-up stream."""
         result: Dict[str, Dict[str, float]] = {}

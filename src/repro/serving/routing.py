@@ -413,8 +413,9 @@ class LeastLoadedRouter(BaseRouter):
     would leave a worker whose key **decreased** (a completed assignment)
     buried at its stale position while a worse key routes first.  In a
     marketplace a shared worker's load also changes through other
-    campaigns' pools; those changes arrive as forwarded load events
-    (:meth:`ServingPool.notify_load_changed`).
+    campaigns' pools; the worker announces those changes on every pool
+    holding it (:meth:`ServingWorker.announce`), so they arrive here as
+    ordinary load events.
 
     Membership changes arrive on the same listener protocol: arrivals
     are pushed via :meth:`on_worker_added`, and entries for departed
@@ -539,8 +540,13 @@ class DomainAffinityRouter(BaseRouter):
             )
         self._engine = engine
         # Built before the base class subscribes us to the pool: the hooks
-        # the subscription binds forward straight to this index.
+        # the subscription binds forward straight to this index.  Load
+        # events re-admit parked workers, so the index's load hook is bound
+        # as this instance's (the class-level hook is a marked no-op the
+        # pool skips, which keeps the reference engine off the load bus).
         self._index = DomainIndexSet(pool, compact_floor=compact_floor) if engine == "indexed" else None
+        if self._index is not None:
+            self.on_load_changed = self._index.on_load_changed  # type: ignore[method-assign]
         super().__init__(pool)
 
     @property

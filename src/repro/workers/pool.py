@@ -71,10 +71,6 @@ class WorkerPool:
         """``(H, N)`` matrices of historical accuracies and task counts."""
         return profiles_to_matrix(self.profiles(), domain_order)
 
-    def current_accuracies(self) -> Dict[str, float]:
-        """Latent current target-domain accuracy per worker (simulation-only oracle)."""
-        return {w.worker_id: w.current_accuracy for w in self._workers}
-
     def accuracies_at(self, exposure: float) -> Dict[str, float]:
         """Latent accuracy of every worker at a common hypothetical exposure."""
         return {w.worker_id: w.accuracy_at(exposure) for w in self._workers}

@@ -53,10 +53,6 @@ class WorkerProfile:
         """Prior domains with a recorded history, in sorted order."""
         return tuple(sorted(self.accuracies))
 
-    def has_domain(self, domain: str) -> bool:
-        """Whether the worker has any history on ``domain``."""
-        return domain in self.accuracies
-
     def accuracy_vector(self, domain_order: Sequence[str]) -> np.ndarray:
         """Accuracies in a fixed domain order; missing domains become NaN."""
         return np.array([self.accuracies.get(d, np.nan) for d in domain_order], dtype=float)

@@ -39,8 +39,8 @@ def make_orchestrator(journal_path=None, seed=7):
     )
 
 
-def stress_orchestrator(journal_path=None):
-    """Four least_loaded campaigns under heavy churn, bursts and drift.
+def stress_orchestrator(journal_path=None, router="least_loaded"):
+    """Four campaigns (least_loaded by default) under heavy churn, bursts and drift.
 
     Zero answer delay and a concurrency cap of 3 keep the shared workers
     contended, so stalls, invalidations, re-selections and
@@ -66,7 +66,7 @@ def stress_orchestrator(journal_path=None):
         reselect_fraction=0.3,
         max_reselections=2,
         requalify_ticks=2,
-        router="least_loaded",
+        router=router,
     )
     return MarketplaceOrchestrator(
         specs,
@@ -382,6 +382,39 @@ class TestOrchestrator:
             worker_id in other for worker_id in pools[0].worker_ids for other in pools[1:]
         ), "the campaigns must share workers"
         assert [stall for stall in stalls if stall[2]] == []
+
+    @pytest.mark.parametrize("router", ["least_loaded", "domain_affinity"])
+    def test_shared_workers_link_only_live_pools(self, monkeypatch, router):
+        # A worker record lists exactly the serving pools holding it: a
+        # campaign that re-selects or finishes retires its old pool, which
+        # then hears none of the worker's later changes.  Under
+        # domain_affinity every live index also records each worker under
+        # its current tier, whichever pool demoted or re-qualified it.
+        orchestrator = stress_orchestrator(router=router)
+        tick = MarketplaceOrchestrator._tick
+        checked = []
+
+        def checked_tick(self, tick_index):
+            record = tick(self, tick_index)
+            live = [h.pool for h in self.handles if h.phase is CampaignPhase.SERVING]
+            for market_worker in self.marketplace.workers.values():
+                serving = market_worker.serving
+                holding = [pool for pool in live if pool.get(serving.worker_id) is serving]
+                assert sorted(map(id, serving.pools)) == sorted(map(id, holding)), tick_index
+            for handle in self.handles:
+                index = getattr(handle.service._router, "_index", None) if handle.service else None
+                if handle.phase is not CampaignPhase.SERVING or index is None:
+                    continue
+                for (worker_id, domain), (tier, _) in index._recorded.items():
+                    assert handle.pool[worker_id].tier_on(domain) is tier, (tick_index, worker_id)
+            checked.append(tick_index)
+            return record
+
+        monkeypatch.setattr(MarketplaceOrchestrator, "_tick", checked_tick)
+        report = orchestrator.run(80)
+        assert len(checked) == 80
+        assert sum(campaign["reselections"] for campaign in report.campaigns) >= 1
+        assert any(campaign["phase"] == "done" for campaign in report.campaigns)
 
     def test_duplicate_campaign_names_rejected(self):
         spec = CampaignSpec(name="same", dataset="S-1", selector="us", k=5, seed=1)

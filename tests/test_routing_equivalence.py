@@ -277,8 +277,8 @@ class TestChurnHooks:
         pool.demote("w0", DOMAIN)
         assert router.route(DOMAIN, 1) == ["w1"]
         pool.complete_assignment("w1")
-        pool.set_qualification(
-            "w0", DOMAIN, DomainQualification("w0", DOMAIN, 0.95, 20, QUALIFIED)
+        pool["w0"].set_qualification(
+            DOMAIN, DomainQualification("w0", DOMAIN, 0.95, 20, QUALIFIED)
         )
         assert router.route(DOMAIN, 1) == ["w0"]
 
@@ -336,8 +336,8 @@ class TestDomainIndexSet:
         index = DomainIndexSet(pool)
         pool.add_listener(index)
         list(index.iter_tier(DOMAIN, QUALIFIED))
-        pool.set_qualification(
-            "w1", DOMAIN, DomainQualification("w1", DOMAIN, 0.99, 20, QUALIFIED)
+        pool["w1"].set_qualification(
+            DOMAIN, DomainQualification("w1", DOMAIN, 0.99, 20, QUALIFIED)
         )
         assert [w.worker_id for w in index.iter_tier(DOMAIN, QUALIFIED)] == ["w1", "w0"]
 
@@ -357,18 +357,19 @@ class TestDomainIndexSet:
         assert [w.worker_id for w in index.iter_tier(DOMAIN, QUALIFIED)] == ["w1", "w2"]
         # Parked, not dead: the entry left the list without turning garbage.
         assert index.stats()[f"{DOMAIN}/qualified"] == {"entries": 2, "dead": 0}
-        assert pool["w0"].parked_in == [index]
+        assert list(index._parked) == ["w0"]
         assert [w.worker_id for w in index.iter_tier(DOMAIN, QUALIFIED)] == ["w1", "w2"]
 
     @pytest.mark.parametrize("free", ["complete_assignment", "release_assignment"])
     def test_parked_worker_returns_at_its_rank_when_a_slot_frees(self, free):
         pool = make_pool([0.9, 0.8, 0.7], max_concurrent=2)
         index = DomainIndexSet(pool)
+        pool.add_listener(index)
         pool.begin_assignment("w1")
         pool.begin_assignment("w1")
         assert [w.worker_id for w in index.iter_tier(DOMAIN, QUALIFIED)] == ["w0", "w2"]
         getattr(pool, free)("w1")
-        assert pool["w1"].parked_in == []
+        assert index._parked == {}
         assert [w.worker_id for w in index.iter_tier(DOMAIN, QUALIFIED)] == ["w0", "w1", "w2"]
         assert index.stats()[f"{DOMAIN}/qualified"] == {"entries": 3, "dead": 0}
 
@@ -378,6 +379,7 @@ class TestDomainIndexSet:
         shared = [worker(f"w{i}", estimate, max_concurrent=1) for i, estimate in enumerate([0.9, 0.8])]
         pool_a, pool_b = ServingPool(shared), ServingPool(shared)
         index_b = DomainIndexSet(pool_b)
+        pool_b.add_listener(index_b)
         pool_a.begin_assignment("w0")
         assert [w.worker_id for w in index_b.iter_tier(DOMAIN, QUALIFIED)] == ["w1"]
         pool_a.complete_assignment("w0")
@@ -405,7 +407,8 @@ class TestDomainIndexSet:
         pool_a.begin_assignment("w0")
         list(index_b.iter_tier(DOMAIN, QUALIFIED))
         pool_b.remove_worker("w0")
-        assert shared[0].parked_in == []
+        assert index_b._parked == {}
+        assert shared[0].pools == [pool_a]
         assert index_b.stats()[f"{DOMAIN}/qualified"] == {"entries": 1, "dead": 0}
         pool_a.complete_assignment("w0")
         assert [w.worker_id for w in index_b.iter_tier(DOMAIN, QUALIFIED)] == ["w1"]
@@ -413,6 +416,7 @@ class TestDomainIndexSet:
     def test_readmission_during_a_suspended_walk(self):
         pool = make_pool([0.9, 0.8, 0.7, 0.6], max_concurrent=1)
         index = DomainIndexSet(pool)
+        pool.add_listener(index)
         pool.begin_assignment("w3")
         list(index.iter_tier(DOMAIN, QUALIFIED))  # parks w3
         pool.begin_assignment("w0")
@@ -513,32 +517,14 @@ class TestPoolEventBus:
         recorder = self.Recorder()
         pool.add_listener(recorder)
         # Same tier, same estimate: set_qualification stays silent.
-        pool.set_qualification(
-            "w0", DOMAIN, DomainQualification("w0", DOMAIN, 0.9, 20, QUALIFIED)
+        pool["w0"].set_qualification(
+            DOMAIN, DomainQualification("w0", DOMAIN, 0.9, 20, QUALIFIED)
         )
         assert recorder.events == []
-        pool.set_qualification(
-            "w0", DOMAIN, DomainQualification("w0", DOMAIN, 0.95, 20, QUALIFIED)
+        pool["w0"].set_qualification(
+            DOMAIN, DomainQualification("w0", DOMAIN, 0.95, 20, QUALIFIED)
         )
         assert recorder.events == [("qualification", "w0", DOMAIN)]
-
-    def test_notify_qualification_changed_ignores_non_members(self):
-        pool = make_pool([0.9])
-        recorder = self.Recorder()
-        pool.add_listener(recorder)
-        pool.notify_qualification_changed("stranger", DOMAIN)
-        assert recorder.events == []
-        pool.notify_qualification_changed("w0", DOMAIN)
-        assert recorder.events == [("qualification", "w0", DOMAIN)]
-
-    def test_notify_load_changed_ignores_non_members(self):
-        pool = make_pool([0.9])
-        recorder = self.Recorder()
-        pool.add_listener(recorder)
-        pool.notify_load_changed("stranger")
-        assert recorder.events == []
-        pool.notify_load_changed("w0")
-        assert recorder.events == [("load", "w0")]
 
     def test_noop_marked_hooks_are_never_called(self):
         calls = []
@@ -553,8 +539,6 @@ class TestPoolEventBus:
 
         pool = make_pool([0.9])
         pool.add_listener(Listener())
-        assert not pool.has_listeners("on_load_changed")
-        assert pool.has_listeners("on_worker_added")
         pool.begin_assignment("w0")
         pool.add_worker(worker("w9"))
         assert calls == [("added", "w9")]
@@ -567,6 +551,63 @@ class TestPoolEventBus:
         pool.begin_assignment("w0")
         pool.add_worker(worker("w9"))
         assert recorder.events == []
+
+
+class TestSharedWorkers:
+    """Pools sharing one worker record all hear its load and qualification changes."""
+
+    def test_demotion_through_one_pool_reranks_the_other(self):
+        picks = {}
+        for engine in DomainAffinityRouter.ENGINES:
+            shared = [worker("w0", 0.9), worker("w1", 0.8)]
+            pool_a, pool_b = ServingPool(shared), ServingPool(shared)
+            router_b = DomainAffinityRouter(pool_b, engine=engine)
+            router_b.route(DOMAIN, 1)  # materialises B's index
+            pool_b.complete_assignment("w0")
+            pool_a.demote("w0", DOMAIN)  # QUALIFIED -> FALLBACK, through A only
+            pool_a.demote("w1", DOMAIN)
+            try:
+                picks[engine] = router_b.route(DOMAIN, 2)
+            except NoEligibleWorkersError:
+                picks[engine] = "exhausted"
+        assert picks == {"indexed": ["w0", "w1"], "reference": ["w0", "w1"]}
+
+    def test_worker_write_reaches_every_pool_holding_it(self):
+        recorders = [TestPoolEventBus.Recorder() for _ in range(3)]
+        shared = worker("w0")
+        pools = [ServingPool([shared]), ServingPool([shared]), ServingPool([worker("w1")])]
+        for pool, recorder in zip(pools, recorders):
+            pool.add_listener(recorder)
+        shared.set_qualification(DOMAIN, DomainQualification("w0", DOMAIN, 0.5, 20, FALLBACK))
+        pools[1].begin_assignment("w0")
+        expected = [("qualification", "w0", DOMAIN), ("load", "w0")]
+        assert [recorder.events for recorder in recorders] == [expected, expected, []]
+
+    def test_pool_list_follows_membership(self):
+        shared = worker("w0")
+        with pytest.raises(ValueError):
+            ServingPool([shared, worker("w0")])  # rejected pools never link
+        assert shared.pools == []
+        pool_a = ServingPool([shared])
+        pool_b = ServingPool([worker("w1")])
+        pool_b.add_worker(shared)
+        assert shared.pools == [pool_a, pool_b]
+        pool_a.remove_worker("w0")
+        assert shared.pools == [pool_b]
+
+    def test_retired_pool_hears_nothing_and_still_removes(self):
+        shared = worker("w0")
+        pool_a, pool_b = ServingPool([shared]), ServingPool([shared])
+        recorder = TestPoolEventBus.Recorder()
+        pool_a.add_listener(recorder)
+        pool_a.retire()
+        assert shared.pools == [pool_b] and "w0" in pool_a
+        pool_b.begin_assignment("w0")
+        pool_b.demote("w0", DOMAIN)
+        assert recorder.events == []
+        pool_a.remove_worker("w0")
+        assert recorder.events == [("removed", "w0")]
+        assert shared.pools == [pool_b]
 
 
 class TestLeastLoadedCompaction:

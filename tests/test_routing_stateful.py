@@ -1,12 +1,22 @@
-"""Differential state machine: the indexed ``domain_affinity`` engine against its oracle.
+"""State machines over two pools that share worker records, checked against oracles.
 
-Two worlds run the same random program of routes, exclusions, completions,
-releases, demotions, re-qualifications, arrivals and departures.  Each world
-holds two pools, ``A`` and ``B``, that share :class:`ServingWorker` objects
-the way marketplace campaign pools do, so a vote charged or freed through one
-pool changes the worker's capacity in the other.  One world routes with the
-capacity-parking :class:`~repro.serving.index.DomainIndexSet`, the other with
-``DomainAffinityRouter(engine="reference")``; every pick must agree.
+A random program of routes, exclusions, completions, releases, demotions,
+re-qualifications, arrivals and departures runs on a world of two pools,
+``A`` and ``B``, that share :class:`ServingWorker` objects the way
+marketplace campaign pools do: a vote charged or freed, or a qualification
+changed, through one pool changes the worker in the other.  Nothing in the
+program announces a change on the other pool by hand; the worker's own
+announcement must reach it.
+
+* ``AffinityDifferential`` runs the program on two worlds: one routes with
+  the capacity-parking :class:`~repro.serving.index.DomainIndexSet`, the
+  other with ``DomainAffinityRouter(engine="reference")``.  Every pick must
+  agree, and every indexed tier ranking of every pool must equal the
+  oracle's.
+* ``LeastLoadedShared`` runs it on one world routed by ``least_loaded``;
+  every pick must be the brute-force minimum of
+  ``(active, assigned_total, worker_id)`` over the eligible workers with
+  spare capacity.
 
 Concurrency caps of 1–3 make workers saturate often, so the index really
 parks them and has to re-admit them — also when the slot frees through the
@@ -15,15 +25,21 @@ other pool.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from repro.serving.index import INDEXED_TIERS
 from repro.serving.pool import ServingPool, ServingWorker
 from repro.serving.qualification import DomainQualification, QualificationTier, affinity_rank_key
-from repro.serving.routing import DomainAffinityRouter, NoEligibleWorkersError
+from repro.serving.routing import (
+    BaseRouter,
+    DomainAffinityRouter,
+    LeastLoadedRouter,
+    NoEligibleWorkersError,
+)
 
 DOMAINS = ("d0", "d1")
 POOLS = ("A", "B")
@@ -50,17 +66,16 @@ def build_worker(worker_id: str, spec) -> ServingWorker:
 
 
 class World:
-    """Two pools sharing worker objects, each routed by one engine."""
+    """Two pools sharing worker objects, each routed by its own router."""
 
-    def __init__(self, engine: str, specs, membership, compact_floor: int) -> None:
+    def __init__(self, make_router: Callable[[ServingPool], BaseRouter], specs, membership) -> None:
         self.workers = {f"w{i}": build_worker(f"w{i}", spec) for i, spec in enumerate(specs)}
         self.pools: Dict[str, ServingPool] = {}
-        self.routers: Dict[str, DomainAffinityRouter] = {}
+        self.routers: Dict[str, BaseRouter] = {}
         for name in POOLS:
             members = [self.workers[wid] for wid, pools in zip(self.workers, membership) if name in pools]
             self.pools[name] = ServingPool(members)
-            config = {"compact_floor": compact_floor} if engine == "indexed" else {}
-            self.routers[name] = DomainAffinityRouter(self.pools[name], engine=engine, **config)
+            self.routers[name] = make_router(self.pools[name])
 
     def other(self, name: str) -> ServingPool:
         return self.pools[POOLS[1 - POOLS.index(name)]]
@@ -74,73 +89,37 @@ class World:
         except NoEligibleWorkersError:
             return "exhausted"
 
-    def changed_qualification(self, name: str, worker_id: str, domain: str) -> None:
-        # Announce on every other pool holding the shared record, as the
-        # marketplace does for re-qualifications.
-        self.other(name).notify_qualification_changed(worker_id, domain)
 
+class SharedPoolMachine(RuleBasedStateMachine):
+    """The shared program: load, qualification and membership changes.
 
-class AffinityDifferential(RuleBasedStateMachine):
+    Subclasses build ``worlds`` in an ``initialize`` step and add the
+    routing rules.  Every world runs every step identically, so in-flight
+    votes and loads agree across worlds.
+    """
+
     def __init__(self) -> None:
         super().__init__()
-        self.worlds: Tuple[World, World] = ()
-        #: In-flight votes as ``(pool name, worker id)``, identical in both worlds.
+        self.worlds: Tuple[World, ...] = ()
+        #: In-flight votes as ``(pool name, worker id)``, identical in every world.
         self.in_flight: List[Tuple[str, str]] = []
         self.next_id = 0
 
-    @initialize(
-        specs=st.lists(worker_spec, min_size=2, max_size=8),
-        data=st.data(),
-        compact_floor=st.integers(1, 4),
-    )
-    def build(self, specs, data, compact_floor):
+    @staticmethod
+    def draw_membership(specs, data) -> List[str]:
         membership = data.draw(
             st.lists(st.sampled_from(["A", "B", "AB"]), min_size=len(specs), max_size=len(specs))
         )
         # Neither pool may start empty.
         membership[0], membership[-1] = "A", "B"
-        self.worlds = (
-            World("indexed", specs, membership, compact_floor),
-            World("reference", specs, membership, compact_floor),
-        )
-        self.next_id = len(specs)
+        return membership
 
-    # -- helpers -------------------------------------------------------- #
     def members(self, name: str) -> List[str]:
         return self.worlds[0].pools[name].worker_ids
 
-    def both(self, action) -> list:
-        results = [action(world) for world in self.worlds]
-        assert results[0] == results[1], results
-        return results[0]
-
-    # -- routing -------------------------------------------------------- #
-    @rule(name=st.sampled_from(POOLS), domain=st.sampled_from(DOMAINS), n_votes=st.integers(1, 4))
-    def route(self, name, domain, n_votes):
-        picks = self.both(lambda world: world.route(name, domain, n_votes))
-        if picks != "exhausted":
-            self.in_flight.extend((name, worker_id) for worker_id in picks)
-
-    @rule(
-        name=st.sampled_from(POOLS), domain=st.sampled_from(DOMAINS), n_votes=st.integers(1, 3), data=st.data()
-    )
-    def route_excluding(self, name, domain, n_votes, data):
+    def draw_member(self, name: str, data) -> Optional[str]:
         members = self.members(name)
-        exclude = data.draw(st.lists(st.sampled_from(members), max_size=3, unique=True)) if members else []
-        picks = self.both(lambda world: world.route(name, domain, n_votes, exclude))
-        assert not set(picks) & set(exclude)
-        self.in_flight.extend((name, worker_id) for worker_id in picks)
-
-    @rule(name=st.sampled_from(POOLS), domain=st.sampled_from(DOMAINS), tier=st.sampled_from(TIERS[:2]))
-    def walk_tier(self, name, domain, tier):
-        # A whole walk of the index equals the oracle's capacity-filtered ranking.
-        indexed, reference = self.worlds
-        walked = [w.worker_id for w in indexed.routers[name]._index.iter_tier(domain, tier)]
-        ranked = sorted(
-            (w for w in reference.pools[name].workers if w.tier_on(domain) is tier and w.has_capacity),
-            key=lambda w: affinity_rank_key(w.estimate_on(domain), w.worker_id),
-        )
-        assert walked == [w.worker_id for w in ranked]
+        return data.draw(st.sampled_from(members)) if members else None
 
     # -- load ----------------------------------------------------------- #
     @rule(data=st.data(), complete=st.booleans())
@@ -155,33 +134,28 @@ class AffinityDifferential(RuleBasedStateMachine):
     # -- qualification -------------------------------------------------- #
     @rule(name=st.sampled_from(POOLS), domain=st.sampled_from(DOMAINS), data=st.data())
     def demote(self, name, domain, data):
-        members = self.members(name)
-        if not members:
+        worker_id = self.draw_member(name, data)
+        if worker_id is None:
             return
-        worker_id = data.draw(st.sampled_from(members))
         for world in self.worlds:
-            before = world.pools[name][worker_id].tier_on(domain)
-            if world.pools[name].demote(worker_id, domain) is not before:
-                world.changed_qualification(name, worker_id, domain)
+            world.pools[name].demote(worker_id, domain)
 
     @rule(name=st.sampled_from(POOLS), domain=st.sampled_from(DOMAINS), new=qualification, data=st.data())
     def set_qualification(self, name, domain, new, data):
-        members = self.members(name)
-        if not members:
+        worker_id = self.draw_member(name, data)
+        if worker_id is None:
             return
-        worker_id = data.draw(st.sampled_from(members))
         tier, estimate = new
         for world in self.worlds:
-            world.pools[name].set_qualification(
-                worker_id, domain, DomainQualification(worker_id, domain, estimate, 20, tier)
+            world.pools[name][worker_id].set_qualification(
+                domain, DomainQualification(worker_id, domain, estimate, 20, tier)
             )
-            world.changed_qualification(name, worker_id, domain)
 
     # -- membership ----------------------------------------------------- #
     @rule(name=st.sampled_from(POOLS), spec=worker_spec, data=st.data())
     def add_worker(self, name, spec, data):
-        indexed = self.worlds[0]
-        outside = [wid for wid in indexed.workers if wid not in indexed.pools[name]]
+        first = self.worlds[0]
+        outside = [wid for wid in first.workers if wid not in first.pools[name]]
         choice = data.draw(st.sampled_from(["new"] + outside))
         if choice == "new":
             worker_id = f"w{self.next_id}"
@@ -198,10 +172,9 @@ class AffinityDifferential(RuleBasedStateMachine):
 
     @rule(name=st.sampled_from(POOLS), data=st.data())
     def remove_worker(self, name, data):
-        members = self.members(name)
-        if not members:
+        worker_id = self.draw_member(name, data)
+        if worker_id is None:
             return
-        worker_id = data.draw(st.sampled_from(members))
         # Like a marketplace departure: in-flight votes are released first.
         held = [vote for vote in self.in_flight if vote == (name, worker_id)]
         self.in_flight = [vote for vote in self.in_flight if vote != (name, worker_id)]
@@ -213,27 +186,130 @@ class AffinityDifferential(RuleBasedStateMachine):
     # -- invariants ----------------------------------------------------- #
     @invariant()
     def loads_agree(self):
-        if self.worlds:
+        for world in self.worlds[1:]:
             for name in POOLS:
-                assert self.worlds[0].pools[name].load_snapshot() == self.worlds[1].pools[name].load_snapshot()
+                assert world.pools[name].load_snapshot() == self.worlds[0].pools[name].load_snapshot()
 
     @invariant()
-    def parked_registrations_are_exact(self):
+    def pool_lists_are_exact(self):
+        # Each worker record lists exactly the pools that hold it, once each.
+        for world in self.worlds:
+            for worker in world.workers.values():
+                holding = [pool for pool in world.pools.values() if pool.get(worker.worker_id) is worker]
+                assert sorted(map(id, worker.pools)) == sorted(map(id, holding))
+
+
+class AffinityDifferential(SharedPoolMachine):
+    """The indexed ``domain_affinity`` engine against its reference oracle."""
+
+    @initialize(
+        specs=st.lists(worker_spec, min_size=2, max_size=8),
+        data=st.data(),
+        compact_floor=st.integers(1, 4),
+    )
+    def build(self, specs, data, compact_floor):
+        membership = self.draw_membership(specs, data)
+        self.worlds = (
+            World(lambda pool: DomainAffinityRouter(pool, compact_floor=compact_floor), specs, membership),
+            World(lambda pool: DomainAffinityRouter(pool, engine="reference"), specs, membership),
+        )
+        self.next_id = len(specs)
+
+    def both(self, action) -> list:
+        results = [action(world) for world in self.worlds]
+        assert results[0] == results[1], results
+        return results[0]
+
+    @rule(name=st.sampled_from(POOLS), domain=st.sampled_from(DOMAINS), n_votes=st.integers(1, 4))
+    def route(self, name, domain, n_votes):
+        picks = self.both(lambda world: world.route(name, domain, n_votes))
+        if picks != "exhausted":
+            self.in_flight.extend((name, worker_id) for worker_id in picks)
+
+    @rule(
+        name=st.sampled_from(POOLS), domain=st.sampled_from(DOMAINS), n_votes=st.integers(1, 3), data=st.data()
+    )
+    def route_excluding(self, name, domain, n_votes, data):
+        members = self.members(name)
+        exclude = data.draw(st.lists(st.sampled_from(members), max_size=3, unique=True)) if members else []
+        picks = self.both(lambda world: world.route(name, domain, n_votes, exclude))
+        assert not set(picks) & set(exclude)
+        self.in_flight.extend((name, worker_id) for worker_id in picks)
+
+    @invariant()
+    def every_indexed_ranking_matches_the_oracle(self):
+        # A whole walk of each index equals the oracle's capacity-filtered
+        # ranking — in both pools, so a tier changed through one pool shows
+        # in the other's index too.
         if not self.worlds:
             return
-        indexes = {id(router._index): router._index for router in self.worlds[0].routers.values()}
-        for worker in self.worlds[0].workers.values():
-            assert len(set(map(id, worker.parked_in))) == len(worker.parked_in)
-            for index in worker.parked_in:
-                assert id(index) in indexes
-                assert index._parked[worker.worker_id][0] is worker
-                assert not worker.has_capacity
-        for index in indexes.values():
-            for worker_id, (worker, _) in index._parked.items():
-                assert index in worker.parked_in
+        indexed, reference = self.worlds
+        for name in POOLS:
+            for domain in DOMAINS:
+                for tier in INDEXED_TIERS:
+                    walked = [w.worker_id for w in indexed.routers[name]._index.iter_tier(domain, tier)]
+                    ranked = sorted(
+                        (w for w in reference.pools[name].workers if w.tier_on(domain) is tier and w.has_capacity),
+                        key=lambda w: affinity_rank_key(w.estimate_on(domain), w.worker_id),
+                    )
+                    assert walked == [w.worker_id for w in ranked], (name, domain, tier)
 
 
-AffinityDifferential.TestCase.settings = settings(
-    AffinityDifferential.TestCase.settings, deadline=None, stateful_step_count=40
-)
+def least_loaded_picks(pool: ServingPool, domain: str, n_votes: int) -> List[str]:
+    """Brute force: ``n_votes`` successive minima of the live load key.
+
+    Each pick is the minimum ``(active, assigned_total, worker_id)`` over the
+    eligible workers with spare capacity not picked yet; a pick is charged
+    before the next one is taken.
+    """
+    load = {w.worker_id: (w.active, w.assigned_total) for w in pool.workers}
+    chosen: List[str] = []
+    for _ in range(n_votes):
+        candidates = [
+            (*load[w.worker_id], w.worker_id)
+            for w in pool.workers
+            if w.worker_id not in chosen
+            and w.tier_on(domain) >= QualificationTier.FALLBACK
+            and load[w.worker_id][0] < w.max_concurrent
+        ]
+        if not candidates:
+            break
+        active, assigned, worker_id = min(candidates)
+        load[worker_id] = (active + 1, assigned + 1)
+        chosen.append(worker_id)
+    return chosen
+
+
+class LeastLoadedShared(SharedPoolMachine):
+    """``least_loaded`` heaps over shared workers against a brute-force minimum."""
+
+    @initialize(specs=st.lists(worker_spec, min_size=2, max_size=8), data=st.data())
+    def build(self, specs, data):
+        self.worlds = (World(LeastLoadedRouter, specs, self.draw_membership(specs, data)),)
+        self.next_id = len(specs)
+
+    @rule(name=st.sampled_from(POOLS), domain=st.sampled_from(DOMAINS), n_votes=st.integers(1, 4))
+    def route(self, name, domain, n_votes):
+        world = self.worlds[0]
+        expected = least_loaded_picks(world.pools[name], domain, n_votes) or "exhausted"
+        assert world.route(name, domain, n_votes) == expected
+        if expected != "exhausted":
+            self.in_flight.extend((name, worker_id) for worker_id in expected)
+
+    @rule(
+        name=st.sampled_from(POOLS), domain=st.sampled_from(DOMAINS), n_votes=st.integers(1, 3), data=st.data()
+    )
+    def route_excluding(self, name, domain, n_votes, data):
+        members = self.members(name)
+        exclude = data.draw(st.lists(st.sampled_from(members), max_size=3, unique=True)) if members else []
+        world = self.worlds[0]
+        over = least_loaded_picks(world.pools[name], domain, n_votes + len(exclude))
+        expected = [worker_id for worker_id in over if worker_id not in exclude][:n_votes]
+        assert world.route(name, domain, n_votes, exclude) == expected
+        self.in_flight.extend((name, worker_id) for worker_id in expected)
+
+
+for machine in (AffinityDifferential, LeastLoadedShared):
+    machine.TestCase.settings = settings(machine.TestCase.settings, deadline=None, stateful_step_count=40)
 TestAffinityDifferential = AffinityDifferential.TestCase
+TestLeastLoadedShared = LeastLoadedShared.TestCase
