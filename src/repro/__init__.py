@@ -151,7 +151,7 @@ from repro.workers import (
     register_behavior,
 )
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "__version__",

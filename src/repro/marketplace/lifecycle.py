@@ -245,18 +245,34 @@ class CampaignHandle:
         )
 
     def _deliver_due_answers(self, tick: int) -> List[List[object]]:
+        """Deliver the votes due by ``tick``, drawing their answers in one call.
+
+        The first pass pops the due entries in schedule order and keeps the
+        votes still awaited (a departure may have invalidated one after it
+        was scheduled); a repeat of a ``(task, worker)`` vote already kept
+        is dropped, since delivering the first would have answered it.  One
+        :meth:`~repro.marketplace.orchestrator.Marketplace.answer` call then
+        draws every kept answer, and the second pass records them in the
+        same order.  Recording an answer never changes whether another vote
+        is awaited, so this equals delivering the votes one at a time.
+        """
         assert self.service is not None
-        delivered: List[List[object]] = []
+        due: List[Tuple[str, Task]] = []
+        kept = set()
         while self._scheduled and self._scheduled[0][0] <= tick:
             _, task_id, worker_id = self._scheduled.popleft()
-            if not self.service.is_awaiting(task_id, worker_id):
-                # The vote was invalidated (departure) after scheduling.
+            if (task_id, worker_id) in kept or not self.service.is_awaiting(task_id, worker_id):
                 continue
-            task = self._task_by_id[task_id]
-            answer = self._marketplace.answer(worker_id, task, self.spec.name)
-            self.service.record_answer(task_id, worker_id, answer)
-            self.answers_delivered += 1
-            delivered.append([task_id, worker_id, bool(answer)])
+            kept.add((task_id, worker_id))
+            due.append((worker_id, self._task_by_id[task_id]))
+        if not due:
+            return []
+        answers = self._marketplace.answer(self.spec.name, due)
+        delivered: List[List[object]] = []
+        for (worker_id, task), answer in zip(due, answers):
+            self.service.record_answer(task.task_id, worker_id, answer)
+            delivered.append([task.task_id, worker_id, answer])
+        self.answers_delivered += len(delivered)
         return delivered
 
     def _next_task(self) -> Optional[Task]:

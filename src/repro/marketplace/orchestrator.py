@@ -31,7 +31,9 @@ continuing where the file ends.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.marketplace.churn import ChurnConfig, ChurnModel
 from repro.marketplace.journal import (
@@ -42,6 +44,7 @@ from repro.marketplace.journal import (
 from repro.marketplace.lifecycle import CampaignHandle, CampaignPhase, CampaignSpec
 from repro.campaign import SelectionManifest
 from repro.obs.timing import perf_counter
+from repro.platform.answers import behavior_accuracy_matrix
 from repro.platform.tasks import Task
 from repro.serving.pool import ServingWorker
 from repro.serving.qualification import (
@@ -51,7 +54,7 @@ from repro.serving.qualification import (
 )
 from repro.serving.quality import DriftConfig
 from repro.serving.routing import resolve_router_name
-from repro.stats.rng import counter_uniforms, derive_seed, stream_seeds, token_hashes
+from repro.stats.rng import counter_draws, counter_uniforms, derive_seed, stream_seeds, token_hashes
 from repro.workers.population import PopulationConfig, sample_learning_population
 
 #: ``id_prefix`` of workers minted by the arrival sampler.
@@ -152,6 +155,12 @@ class MarketWorker:
     what makes drift-triggered re-selection observable end to end.
     Non-target domains (and workers without a curve) answer at the static
     ``accuracies`` entry, 0.5 when unknown.
+
+    ``answer_seeds`` caches the seed of each per-campaign answer stream (a
+    pure function of the marketplace answer seed, the worker id and the
+    campaign), next to ``answer_counts``, the stream's draw counter.
+    ``credited`` holds, per domain, the ``completed_total`` already counted
+    into a re-qualification's questions.
     """
 
     worker_id: str
@@ -164,6 +173,8 @@ class MarketWorker:
     exposure_offset: float = 0.0
     present: bool = True
     answer_counts: Dict[str, int] = field(default_factory=dict)
+    answer_seeds: Dict[str, int] = field(default_factory=dict)
+    credited: Dict[str, int] = field(default_factory=dict)
     arrived_tick: int = 0
     departed_tick: Optional[int] = None
 
@@ -287,29 +298,38 @@ class Marketplace:
         qualification policy.  A worker landing in the unqualified tier is
         turned away; an admitted worker joins the pool of every *serving*
         campaign whose domain it qualifies on.
+
+        The tick's prestudy is drawn in one block: one stream seed per
+        arrival, one ``(arrivals x questions)`` uniform matrix, and one
+        accuracy matrix over exposures ``0 .. questions`` whose last column
+        is the admitted worker's target accuracy.  Each arrival's worker is
+        still sampled on its own, because its seed is keyed by its index.
         """
+        if count <= 0:
+            return []
         policy = self._config.qualification
         n_questions = self._config.prestudy_questions
         target = self._population.target_domain
-        events: List[Dict[str, object]] = []
-        for _ in range(count):
-            index = self._arrival_index
-            self._arrival_index += 1
-            behavior = sample_learning_population(
+        first = self._arrival_index
+        self._arrival_index += count
+        behaviors = [
+            sample_learning_population(
                 self._population,
                 1,
                 rng=derive_seed(self._seed, "marketplace", "arrival", index),
                 id_prefix=ARRIVAL_PREFIX,
                 id_offset=index,
             )[0]
-            gid = behavior.profile.worker_id
-            uniforms = counter_uniforms(
-                stream_seeds(self._prestudy_seed, token_hashes([gid])), n_questions
-            )[0]
-            correct = sum(
-                int(uniforms[i] < behavior.accuracy_at(float(i))) for i in range(n_questions)
-            )
-            observed = correct / n_questions
+            for index in range(first, first + count)
+        ]
+        gids = [behavior.profile.worker_id for behavior in behaviors]
+        uniforms = counter_uniforms(stream_seeds(self._prestudy_seed, token_hashes(gids)), n_questions)
+        exposures = np.broadcast_to(np.arange(n_questions + 1, dtype=float), (count, n_questions + 1))
+        curve = behavior_accuracy_matrix(behaviors, exposures)
+        hits = (uniforms < curve[:, :n_questions]).sum(axis=1)
+        events: List[Dict[str, object]] = []
+        for row, (behavior, gid) in enumerate(zip(behaviors, gids)):
+            observed = int(hits[row]) / n_questions
             tier = policy.qualify(observed, n_questions)
             admitted = tier > QualificationTier.UNQUALIFIED
             events.append(
@@ -327,7 +347,7 @@ class Marketplace:
             qualifications = {
                 target: qualification_for(policy, gid, target, estimate=observed, questions=n_questions)
             }
-            accuracies = {target: float(behavior.accuracy_at(float(n_questions)))}
+            accuracies = {target: float(curve[row, n_questions])}
             profile = behavior.profile
             for domain in profile.domains:
                 qualifications[domain] = qualification_for(
@@ -392,31 +412,50 @@ class Marketplace:
     # ------------------------------------------------------------------ #
     # Answering and re-qualification
     # ------------------------------------------------------------------ #
-    def answer(self, worker_id: str, task: Task, campaign: str) -> bool:
-        """One worker's answer to one task (counter-based, per-stream draws).
+    def answer(self, campaign: str, due: Sequence[Tuple[str, Task]]) -> List[bool]:
+        """One campaign-tick's answers to ``due`` ``(worker_id, task)`` votes, in order.
 
         Answer streams are keyed per ``(campaign, worker)`` — the stream
-        seed mixes in the campaign name and the draw counter advances per
+        seed mixes in the campaign name (computed once per pair and cached
+        on the :class:`MarketWorker`) and the draw counter advances per
         campaign — so one campaign's answer schedule never perturbs
-        another's.  Target-domain accuracy follows the worker's behaviour
-        curve at its current per-campaign exposure when one is registered
-        (so drifters decay and learners improve mid-serving); other domains
-        use the static registered accuracy, 0.5 when unknown.
+        another's.  A worker due twice in one call takes consecutive
+        draws.  Target-domain accuracy follows the worker's behaviour curve
+        at its current per-campaign exposure when one is registered (so
+        drifters decay and learners improve mid-serving); other domains use
+        the static registered accuracy, 0.5 when unknown.  All accuracies
+        come from one :func:`~repro.platform.answers.behavior_accuracy_matrix`
+        call and all uniforms from one :func:`~repro.stats.rng.counter_draws`
+        call, each draw a pure function of its stream and counter.
         """
-        worker = self._workers[worker_id]
-        count = worker.answer_counts.get(campaign, 0)
-        worker.answer_counts[campaign] = count + 1
-        if worker.behavior is not None and task.domain == worker.target_domain:
-            accuracy = float(worker.behavior.accuracy_at(worker.exposure_offset + count))
-        else:
-            accuracy = worker.accuracies.get(task.domain, 0.5)
-        draw = counter_uniforms(
-            stream_seeds(self._answer_seed, token_hashes([worker_id]), int(token_hashes([campaign])[0])),
-            1,
-            offset=count,
-        )[0, 0]
-        correct = bool(draw < accuracy)
-        return bool(task.gold_label) if correct else not bool(task.gold_label)
+        seeds = np.empty(len(due), dtype=np.uint64)
+        counters = np.empty(len(due), dtype=np.uint64)
+        accuracies = np.empty(len(due))
+        curve_rows: List[int] = []
+        curve_workers: List[object] = []
+        curve_exposures: List[float] = []
+        for row, (worker_id, task) in enumerate(due):
+            worker = self._workers[worker_id]
+            seed = worker.answer_seeds.get(campaign)
+            if seed is None:
+                salt = int(token_hashes([campaign])[0])
+                seed = int(stream_seeds(self._answer_seed, token_hashes([worker_id]), salt)[0])
+                worker.answer_seeds[campaign] = seed
+            count = worker.answer_counts.get(campaign, 0)
+            worker.answer_counts[campaign] = count + 1
+            seeds[row] = seed
+            counters[row] = count
+            if worker.behavior is not None and task.domain == worker.target_domain:
+                curve_rows.append(row)
+                curve_workers.append(worker.behavior)
+                curve_exposures.append(worker.exposure_offset + count)
+            else:
+                accuracies[row] = worker.accuracies.get(task.domain, 0.5)
+        if curve_rows:
+            exposures = np.asarray(curve_exposures, dtype=float)[:, None]
+            accuracies[curve_rows] = behavior_accuracy_matrix(curve_workers, exposures)[:, 0]
+        correct = (counter_draws(seeds, counters) < accuracies).tolist()
+        return [bool(task.gold_label) == hit for (_, task), hit in zip(due, correct)]
 
     def requalify(self, handle: CampaignHandle, tick: int) -> List[ServingWorker]:
         """Re-qualify a campaign's candidates from live serving evidence.
@@ -425,7 +464,8 @@ class Marketplace:
         the present shared arrivals.  Each candidate's estimate is its
         drift tracker EWMA when warmed up (the live agreement signal),
         falling back to its standing qualification estimate; its question
-        count grows by the assignments it completed.  The re-qualified
+        count grows by the assignments it completed since its last
+        re-qualification on the domain.  The re-qualified
         top-``k`` (ties broken by worker id) above the unqualified tier
         become the new pool — may be empty when churn has drained the
         marketplace, in which case the campaign stays re-selecting.
@@ -440,7 +480,12 @@ class Marketplace:
                 continue
             standing = worker.serving.qualifications.get(domain)
             base_estimate = standing.estimate if standing is not None else 0.0
-            questions = (standing.questions if standing is not None else 0) + worker.serving.completed_total
+            # Only the completions no earlier re-qualification on this
+            # domain has counted yet.
+            completed = worker.serving.completed_total
+            fresh = completed - worker.credited.get(domain, 0)
+            worker.credited[domain] = completed
+            questions = (standing.questions if standing is not None else 0) + fresh
             ewma = handle.service.tracker.ewma(gid, domain) if handle.service is not None else None
             estimate = float(ewma) if ewma is not None else float(base_estimate)
             requalified = qualification_for(policy, gid, domain, estimate=estimate, questions=questions)

@@ -95,7 +95,9 @@ class PoolMetricsListener:
         cache = self._tiers.setdefault(worker_id, {})
         from_tier = cache.get(domain, UNSEEN_TIER)
         cache[domain] = to_tier
-        self._transitions.labels(domain, from_tier, to_tier).inc()
+        # An estimate-only re-qualification keeps the tier: no transition.
+        if from_tier != to_tier:
+            self._transitions.labels(domain, from_tier, to_tier).inc()
 
     def _on_load_changed(self, worker_id: str) -> None:
         self._load_events.inc()

@@ -134,8 +134,20 @@ def counter_uniforms(seeds: object, n_draws: int, offset: int = 0) -> np.ndarray
     if offset < 0:
         raise ValueError(f"offset must be non-negative, got {offset}")
     seed_column = np.atleast_1d(np.asarray(seeds, dtype=np.uint64))[:, None]
-    indices = np.arange(offset + 1, offset + n_draws + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    bits = _mix64(seed_column + indices[None, :])
+    return counter_draws(seed_column, np.arange(offset, offset + n_draws, dtype=np.uint64)[None, :])
+
+
+def counter_draws(seeds: object, counters: object) -> np.ndarray:
+    """Draw ``counters[i]`` of the stream seeded by ``seeds[i]``, elementwise.
+
+    The single definition of a counter-based uniform: :func:`counter_uniforms`
+    is this over a ``(streams, draws)`` grid, and hot paths that need one
+    draw from each of many streams (each at its own counter) call it with
+    two equal-length vectors.  ``seeds`` and ``counters`` broadcast against
+    each other and must be arrays, not scalars.
+    """
+    counters = np.asarray(counters, dtype=np.uint64)
+    bits = _mix64(np.asarray(seeds, dtype=np.uint64) + (counters + np.uint64(1)) * np.uint64(_GAMMA))
     # Top 53 bits -> uniform in [0, 1), the standard double construction.
     return (bits >> np.uint64(11)).astype(np.float64) * (2.0**-53)
 
@@ -193,4 +205,5 @@ __all__ = [
     "stream_seeds",
     "token_hashes",
     "counter_uniforms",
+    "counter_draws",
 ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.marketplace import (
     encode_record,
 )
 from repro.marketplace.lifecycle import CampaignHandle
+from repro.marketplace.orchestrator import Marketplace
 from repro.serving.quality import DriftConfig
 
 
@@ -75,6 +77,40 @@ def stress_orchestrator(journal_path=None, router="least_loaded"):
         journal_path=journal_path,
         seed=9,
     )
+
+
+def pinned_orchestrator(journal_path=None):
+    """Three campaigns (one drifting) under churn, bursts and re-selection.
+
+    The journal of its 96-tick run is pinned by hash: every answer,
+    prestudy, departure and re-qualification draws into those bytes.
+    """
+    specs = [
+        CampaignSpec(name="p0", dataset="S-1", selector="us", k=5, seed=21),
+        CampaignSpec(name="p1", dataset="S-2", selector="us", k=5, seed=22),
+        CampaignSpec(name="p2", dataset="S-1:drift40", selector="us", k=6, seed=23),
+    ]
+    config = MarketplaceConfig(
+        router="domain_affinity",
+        total_tasks=120,
+        tasks_per_tick=3,
+        max_concurrent=4,
+        drift=DriftConfig(alpha=0.25, min_observations=4, demote_below=0.6, drop_tolerance=0.2, cooldown=4),
+        reselect_fraction=0.3,
+        max_reselections=2,
+        requalify_ticks=2,
+    )
+    return MarketplaceOrchestrator(
+        specs,
+        config=config,
+        churn=ChurnConfig(arrival_rate=1.2, departure_rate=0.06, bursts={10: 3}),
+        journal_path=journal_path,
+        seed=5,
+    )
+
+
+#: sha256 of the pinned run's journal (96 ticks, tick_batch 8).
+PINNED_JOURNAL_SHA256 = "088456a6cbffd53e2fd508ec02511211ca7401275de5f05847a0baaa65b086fb"
 
 
 #: ``(orchestrator factory, ticks)`` pairs the journal-determinism tests run.
@@ -289,6 +325,32 @@ class TestOrchestrator:
         with pytest.raises(ValueError):
             make_orchestrator().run(5, resume=True)
 
+    def test_pinned_journal_bytes(self, tmp_path):
+        # Byte-identity of the whole event stream: a change to how answers,
+        # prestudies or re-qualifications are computed must not move a byte.
+        path = tmp_path / "pinned.jsonl"
+        report = pinned_orchestrator(journal_path=path).run(96, tick_batch=8)
+        assert all(campaign["reselections"] >= 1 for campaign in report.campaigns)
+        assert report.marketplace["arrivals_rejected"] > 0
+        assert report.marketplace["departures"] > 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_JOURNAL_SHA256
+
+    def test_repeated_due_votes_are_answered_once(self, tmp_path, monkeypatch):
+        # Every due vote scheduled twice: the copy finds the vote already
+        # answered and is dropped, so the journal stays the pinned one.
+        deliver = CampaignHandle._deliver_due_answers
+
+        def doubled(handle, tick):
+            due = [entry for entry in handle._scheduled if entry[0] <= tick]
+            rest = [entry for entry in handle._scheduled if entry[0] > tick]
+            handle._scheduled = deque(due + due + rest)
+            return deliver(handle, tick)
+
+        monkeypatch.setattr(CampaignHandle, "_deliver_due_answers", doubled)
+        path = tmp_path / "doubled.jsonl"
+        pinned_orchestrator(journal_path=path).run(96, tick_batch=8)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_JOURNAL_SHA256
+
     def test_same_seed_runs_are_identical(self):
         first = make_orchestrator().run(40).to_dict()
         second = make_orchestrator().run(40).to_dict()
@@ -415,6 +477,26 @@ class TestOrchestrator:
         assert len(checked) == 80
         assert sum(campaign["reselections"] for campaign in report.campaigns) >= 1
         assert any(campaign["phase"] == "done" for campaign in report.campaigns)
+
+    def test_requalification_credits_each_completion_once(self, monkeypatch):
+        # A re-qualification adds the completions since the previous one on
+        # the same domain; completions an earlier one credited never count
+        # again.  s0:s-1-038 enters with 80 questions and has 6 completions
+        # at tick 6 and 14 at tick 12: 80 + 6 = 86, then 86 + 8 = 94.
+        requalify = Marketplace.requalify
+        seen = []
+
+        def probe(self, handle, tick):
+            members = requalify(self, handle, tick)
+            worker = self.workers.get("s0:s-1-038")
+            if handle.spec.name == "s0" and worker is not None:
+                qualification = worker.serving.qualifications[handle.target_domain]
+                seen.append((tick, qualification.questions, worker.serving.completed_total))
+            return members
+
+        monkeypatch.setattr(Marketplace, "requalify", probe)
+        stress_orchestrator().run(80)
+        assert seen[:2] == [(6, 86, 6), (12, 94, 14)]
 
     def test_duplicate_campaign_names_rejected(self):
         spec = CampaignSpec(name="same", dataset="S-1", selector="us", k=5, seed=1)

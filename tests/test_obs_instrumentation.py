@@ -178,6 +178,27 @@ class TestPoolListener:
         }
         assert transition["value"] == 1
 
+    def test_estimate_only_requalification_is_not_a_transition(self):
+        registry = MetricsRegistry()
+        pool = _pool(n=2)
+        PoolMetricsListener(registry).attach(pool)
+        worker = pool["w0"]
+        # Same tier, new estimate: the pool hears it, but the tier held.
+        worker.set_qualification(
+            DOMAIN, DomainQualification("w0", DOMAIN, 0.7, 40, QualificationTier.QUALIFIED)
+        )
+        values = {metric["name"]: metric["samples"] for metric in registry.snapshot()["metrics"]}
+        assert values.get("pool.qualification.transitions", []) == []
+        # The tier cache still follows the change: the next real move is
+        # labelled from the current tier.
+        worker.set_qualification(
+            DOMAIN, DomainQualification("w0", DOMAIN, 0.4, 40, QualificationTier.FALLBACK)
+        )
+        values = {metric["name"]: metric["samples"] for metric in registry.snapshot()["metrics"]}
+        (transition,) = values["pool.qualification.transitions"]
+        assert transition["labels"] == {"domain": DOMAIN, "from_tier": "qualified", "to_tier": "fallback"}
+        assert transition["value"] == 1
+
 
 class TestMarketplaceInstrumentation:
     @staticmethod

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.stats.rng import as_generator, derive_seed, spawn_generators
+from repro.stats.rng import as_generator, counter_draws, counter_uniforms, derive_seed, spawn_generators
 
 
 class TestAsGenerator:
@@ -67,3 +69,27 @@ class TestDeriveSeed:
 
     def test_string_base_seed(self):
         assert derive_seed("abc", "x") == derive_seed("abc", "x")
+
+
+def splitmix_uniform(seed: int, counter: int) -> float:
+    """Draw ``counter`` of stream ``seed`` in plain integer arithmetic."""
+    mask = (1 << 64) - 1
+    z = (seed + (counter + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return ((z ^ (z >> 31)) >> 11) * 2.0**-53
+
+
+@given(
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+    offset=st.integers(0, 2**40),
+    n_draws=st.integers(0, 6),
+)
+def test_counter_draws_grid_and_rows_equal_the_integer_formula(seeds, offset, n_draws):
+    # counter_uniforms is counter_draws over a grid; both are the one formula.
+    grid = counter_uniforms(np.asarray(seeds, dtype=np.uint64), n_draws, offset=offset)
+    expected = [[splitmix_uniform(seed, offset + column) for column in range(n_draws)] for seed in seeds]
+    assert grid.tolist() == expected
+    counters = [offset + row for row in range(len(seeds))]
+    rows = counter_draws(np.asarray(seeds, dtype=np.uint64), np.asarray(counters, dtype=np.uint64))
+    assert rows.tolist() == [splitmix_uniform(seed, counter) for seed, counter in zip(seeds, counters)]
