@@ -15,9 +15,9 @@ Run it as a script (the pytest suite does not collect it):
         --output /tmp/bench.json
 
 The machine-readable output extends the repo's perf trajectory
-(``BENCH_runner.json`` alongside ``BENCH_cpe_hotpath.json``); its schema is
-documented in the README's "Parallel experiment execution" section and
-stamped into the payload as ``schema_version``.  ``environment.cpu_count``
+(``BENCH_runner.json``); its schema is documented in the README's
+"Parallel experiment execution" section and stamped into the payload as
+``schema_version``.  ``environment.cpu_count``
 matters when reading the numbers: process sharding cannot beat serial on a
 single-core host, so speedups there sit at ~1x regardless of ``n_jobs``.
 """

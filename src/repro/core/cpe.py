@@ -29,11 +29,17 @@ Implementation notes (DESIGN.md §6):
   out: one forward pass builds a ``(workers x nodes)`` table and one
   backward pass chains it through the Schur-complement conditioning and
   the ``(sigma, rho)`` parameterisation
-  (:meth:`CrossDomainPerformanceEstimator.objective_gradient`).  Where the
-  closed form is undefined it falls back to central finite differences,
-  evaluated as one stacked ``(2P x workers x nodes)`` computation.  The
-  scalar likelihood with a finite-difference gradient is kept behind
-  ``CPEConfig(likelihood_engine="reference")`` as the test oracle.
+  (:meth:`CrossDomainPerformanceEstimator.objective_gradient`).  Where a
+  conditioning solve is singular it falls back to central finite
+  differences, evaluated as one stacked ``(2P x workers x nodes)``
+  computation.  The scalar likelihood with a finite-difference gradient is
+  kept behind ``CPEConfig(likelihood_engine="reference")`` as the test
+  oracle;
+* the update asks "must this candidate's correlations be projected?" once
+  per candidate, in its projection step
+  (:meth:`MultivariateNormalModel.canonicalise`).  The line search and the
+  closed-form gradient then read the canonical parameters without checking
+  them again.
 """
 
 from __future__ import annotations
@@ -136,7 +142,10 @@ class CPEConfig:
         (unwarranted) near-deterministic cross-domain prediction; the floor
         encodes that cross-domain extrapolation is never trusted beyond this
         resolution, so observed counts always retain influence on the
-        posterior.
+        posterior.  The objective has a kink where a conditional variance
+        meets the floor: the closed-form gradient takes the one-sided
+        slope there, while central differences straddling it average two
+        slopes, so the two can disagree at O(1) on such a parameter vector.
     posterior:
         ``"counts"`` (default) predicts the posterior mean of the target
         accuracy given *both* the historical profile and the current round's
@@ -150,7 +159,6 @@ class CPEConfig:
         one forward/backward pass per epoch.  ``"reference"`` is the test
         oracle: the scalar likelihood, which agrees with the vectorized one
         to ~1e-10, and central finite differences of it for the gradient.
-        It is also the baseline of the hot-path benchmark.
     """
 
     initial_target_mean: float = 0.5
@@ -435,8 +443,9 @@ class CrossDomainPerformanceEstimator:
 
         This is the line-search objective of :meth:`update` (``B = 1``) and,
         in the finite-difference fallback, the whole ``B = 2P`` perturbation
-        stack, evaluated as a single ``(B x workers x nodes)`` log-space
-        computation on top of the cached ``data.binomial_term``.  The
+        stack (canonicalised first), evaluated as a single
+        ``(B x workers x nodes)`` log-space computation on top of the cached
+        ``data.binomial_term``.  The
         log-sum-exp over the node axis is done in place on that one array,
         the dominant allocation, with no scratch copies of it.
         """
@@ -459,24 +468,18 @@ class CrossDomainPerformanceEstimator:
         log_integrals += shift[..., 0]
         return np.sum(log_integrals, axis=-1)
 
-    def log_likelihood_batch(
-        self,
-        models: Sequence[MultivariateNormalModel],
-        data: RoundData,
-    ) -> np.ndarray:
-        """Eq. (5) log-likelihood of ``data`` under each model, in one pass."""
-        means, covariances = MultivariateNormalModel.stack_moments(list(models))
-        return self._stacked_log_likelihood(means, covariances, data)
-
     def objective_stack(self, thetas: np.ndarray, data: RoundData) -> np.ndarray:
-        """The update's objective at each row of a ``(B, P)`` packed-parameter matrix.
+        """The update's objective at each row of a canonical ``(B, P)`` packed-parameter matrix.
 
         The objective is the negative Eq. (5) log-likelihood per worker.  The
         per-worker normalisation keeps the gradient scale comparable across
         pool sizes, so one learning-rate setting works for the 27-worker
-        RW-1 and the 160-worker S-4 alike.
+        RW-1 and the 160-worker S-4 alike.  The rows must be canonical
+        (:meth:`MultivariateNormalModel.canonicalise`); they are read
+        without a check.
         """
-        means, covariances = MultivariateNormalModel.unpack_moment_stack(thetas, self.target_index + 1)
+        means, sigmas, rhos = MultivariateNormalModel.canonical_moments(thetas, self.target_index + 1)
+        covariances = rhos * (sigmas[:, :, None] * sigmas[:, None, :])
         return -self._stacked_log_likelihood(means, covariances, data) / max(data.n_workers, 1)
 
     def objective_gradient(
@@ -485,19 +488,24 @@ class CrossDomainPerformanceEstimator:
         data: RoundData,
         mask: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Gradient of :meth:`objective_stack` at ``theta``, zero where ``mask`` is ``False``.
+        """Gradient of :meth:`objective_stack` at a canonical ``theta``, zero where ``mask`` is ``False``.
 
         The closed form (:meth:`_log_likelihood_gradient`) costs one
-        ``(workers x nodes)`` table.  Where it is undefined — the
-        correlations at ``theta`` would be projected, or a conditioning
-        system is singular — the gradient is central finite differences of
-        :meth:`objective_stack` instead.
+        ``(workers x nodes)`` table.  Where a conditioning system is
+        singular it is undefined, and the gradient is central finite
+        differences of :meth:`objective_stack` over the canonicalised
+        perturbations instead.
         """
         theta = np.asarray(theta, dtype=float)
         gradient = self._log_likelihood_gradient(theta, data)
         if gradient is None:
+            canonicalise = MultivariateNormalModel.canonicalise
+            dimension = self.target_index + 1
             return finite_difference_gradient_batch(
-                lambda thetas: self.objective_stack(thetas, data), theta, step=1e-5, mask=mask
+                lambda thetas: self.objective_stack(canonicalise(thetas, dimension), data),
+                theta,
+                step=1e-5,
+                mask=mask,
             )
         gradient *= -1.0 / max(data.n_workers, 1)
         if mask is not None:
@@ -505,7 +513,7 @@ class CrossDomainPerformanceEstimator:
         return gradient
 
     def _log_likelihood_gradient(self, theta: np.ndarray, data: RoundData) -> Optional[np.ndarray]:
-        """Closed-form gradient of Eq. (5) with respect to the packed parameters.
+        """Closed-form gradient of Eq. (5) with respect to canonical packed parameters.
 
         Forward: each worker's conditional moments ``(m_i, v_i)`` and the
         softmax weights ``p_ij`` of the log-integrand over the quadrature
@@ -513,13 +521,11 @@ class CrossDomainPerformanceEstimator:
         ``dL/dv_i = sum_j p_ij (h_j - m_i)^2 / (2 v_i^2) - 1 / (2 v_i)``,
         zero where the conditional-variance floor binds.  Backward: each
         pattern's conditioning pullback, then the ``(sigma, rho)``
-        parameterisation.  Returns ``None`` where the closed form is
-        undefined (see :meth:`objective_gradient`).
+        parameterisation.  Returns ``None`` where a conditioning system is
+        singular (see :meth:`objective_gradient`).
         """
         dimension = self.target_index + 1
-        arrays = MultivariateNormalModel.unpack_stack_arrays(theta[None, :], dimension)
-        if arrays is None:
-            return None
+        arrays = MultivariateNormalModel.canonical_moments(theta[None, :], dimension)
         mean, sigma, rho = (array[0] for array in arrays)
         covariance = rho * np.outer(sigma, sigma)
 
@@ -558,7 +564,7 @@ class CrossDomainPerformanceEstimator:
             pattern_mean, pattern_cov = pullback(grad_means[rows], float(np.sum(grad_vars[rows])))
             grad_mean += pattern_mean
             grad_cov += pattern_cov
-        return MultivariateNormalModel.parameter_gradient(theta, sigma, rho, grad_mean, grad_cov)
+        return MultivariateNormalModel.parameter_gradient(sigma, rho, grad_mean, grad_cov)
 
     # ------------------------------------------------------------------ #
     # Update (Algorithm 1, step 4 / Eq. 6-7)
@@ -616,11 +622,13 @@ class CrossDomainPerformanceEstimator:
         def project(theta: np.ndarray) -> np.ndarray:
             # Accuracy means live in [0, 1] and accuracy standard deviations
             # cannot exceed 0.5; clamping here keeps every gradient step
-            # inside the region where the model is meaningful.
+            # inside the region where the model is meaningful.  The only
+            # correlation check of a candidate happens here: the objective
+            # and the gradient read the canonical result unchecked.
             clipped = np.asarray(theta, dtype=float).copy()
             clipped[mean_slice] = np.clip(clipped[mean_slice], 0.01, 0.99)
             clipped[sigma_slice] = np.clip(clipped[sigma_slice], 0.02, 0.6)
-            return MultivariateNormalModel.canonical_parameters(clipped, dimension)
+            return MultivariateNormalModel.canonicalise(clipped, dimension)[0]
 
         def normalised_gradient(theta: np.ndarray) -> np.ndarray:
             # The likelihood surface is steep along the correlation axes when

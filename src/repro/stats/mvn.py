@@ -16,6 +16,14 @@ The class below keeps the canonical representation as ``(mu, sigma, rho)``
 rather than a raw covariance so every gradient step yields a well-formed
 (symmetric, unit-diagonal-correlation) model; a positive-definite projection
 is applied when correlations drift towards an invalid configuration.
+
+Whether a packed vector's correlations need that projection is decided in
+one place, :meth:`MultivariateNormalModel.canonicalise`: it clips a
+``(B, P)`` matrix of packed vectors, runs one batched Cholesky check and
+projects only the rows that fail.  Its rows are *canonical* — they pass the
+check and canonicalise to themselves — so
+:meth:`MultivariateNormalModel.canonical_moments` reads them without
+checking again.
 """
 
 from __future__ import annotations
@@ -69,6 +77,40 @@ def _passes_cholesky_check(rhos: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _failing_rows(rhos: np.ndarray) -> List[int]:
+    """Indices of the ``(B, d, d)`` correlation matrices that fail the Cholesky check.
+
+    One batched check when every matrix passes (the common case); a failing
+    batch of more than one is then checked row by row to find the culprits.
+    """
+    if _passes_cholesky_check(rhos):
+        return []
+    if rhos.shape[0] == 1:
+        return [0]
+    return [row for row in range(rhos.shape[0]) if not _passes_cholesky_check(rhos[row])]
+
+
+def _projected_correlation(rho: np.ndarray) -> np.ndarray:
+    """The valid correlation matrix nearest a symmetric unit-diagonal ``rho``.
+
+    Eigenvalue clipping at ``1e-4``, then the diagonal re-normalised to one.
+    If that leaves a near-collinear pair beyond the correlation bound, all
+    correlations shrink by one factor towards zero instead of being clipped
+    one by one: a convex blend with the identity stays positive definite,
+    whereas clipping a single entry can break it.  So the result always
+    passes the Cholesky check.
+    """
+    projected = nearest_positive_definite(rho, eps=1e-4)
+    scale = np.sqrt(np.clip(np.diag(projected), _MIN_SIGMA**2, None))
+    projected = projected / np.outer(scale, scale)
+    largest = np.max(np.abs(projected - _identity(rho.shape[0])))
+    if largest > _MAX_ABS_RHO:
+        projected *= _MAX_ABS_RHO / largest
+    projected = np.clip(projected, -_MAX_ABS_RHO, _MAX_ABS_RHO)
+    np.fill_diagonal(projected, 1.0)
+    return projected
 
 
 def _robust_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -200,12 +242,7 @@ class MultivariateNormalModel:
         self.rho = np.clip(self.rho, -_MAX_ABS_RHO, _MAX_ABS_RHO)
         np.fill_diagonal(self.rho, 1.0)
         if not _passes_cholesky_check(self.rho):
-            projected = nearest_positive_definite(self.rho, eps=1e-4)
-            scale = np.sqrt(np.clip(np.diag(projected), _MIN_SIGMA**2, None))
-            projected = projected / np.outer(scale, scale)
-            projected = np.clip(projected, -_MAX_ABS_RHO, _MAX_ABS_RHO)
-            np.fill_diagonal(projected, 1.0)
-            self.rho = projected
+            self.rho = _projected_correlation(self.rho)
 
     # ------------------------------------------------------------------ #
     # Conditional distribution (mu_bar, Sigma_bar of Eq. 5)
@@ -333,96 +370,45 @@ class MultivariateNormalModel:
         mean_s, sigma_s, rho_s = cls.parameter_slices(dimension)
         mean = vector[mean_s]
         sigma = np.clip(vector[sigma_s], _MIN_SIGMA, None)
-        eye = _identity(dimension)
-        rho = eye.copy()
-        rho[_upper_indices(dimension)] = np.clip(vector[rho_s], -_MAX_ABS_RHO, _MAX_ABS_RHO)
-        rho = rho + rho.T - eye
+        rho = _correlation_stack(np.clip(vector[None, rho_s], -_MAX_ABS_RHO, _MAX_ABS_RHO), dimension)[0]
         return cls(mean=mean, sigma=sigma, rho=rho)
 
     @classmethod
-    def canonical_parameters(cls, vector: np.ndarray, dimension: int) -> np.ndarray:
-        """``unpack_parameters(vector, dimension).pack_parameters()``, without the model.
+    def canonicalise(cls, matrix: np.ndarray, dimension: int) -> np.ndarray:
+        """Each row of a ``(B, P)`` packed-parameter matrix in canonical form.
 
-        When the clipped correlations pass the Cholesky check (almost always)
-        this is a pure array clip; otherwise the scalar path projects them.
+        Row ``b`` of the result is
+        ``unpack_parameters(matrix[b], dimension).pack_parameters()``: the
+        standard deviations and correlations clipped, and the correlations
+        projected where the clipped matrix fails the Cholesky check.  The
+        clip is vectorised, the check is one batched call, and only the
+        failing rows are projected.  Canonical rows pass the check, so
+        canonicalising them again returns them bit for bit.
         """
-        vector = np.asarray(vector, dtype=float)
+        matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
         _, sigma_s, rho_s = cls.parameter_slices(dimension)
-        canonical = vector.copy()
-        canonical[sigma_s] = np.clip(vector[sigma_s], _MIN_SIGMA, None)
-        canonical[rho_s] = np.clip(vector[rho_s], -_MAX_ABS_RHO, _MAX_ABS_RHO)
-        if _passes_cholesky_check(_correlation_stack(canonical[None, rho_s], dimension)):
-            return canonical
-        return cls.unpack_parameters(vector, dimension).pack_parameters()
+        canonical = matrix.copy()
+        canonical[:, sigma_s] = np.clip(matrix[:, sigma_s], _MIN_SIGMA, None)
+        canonical[:, rho_s] = np.clip(matrix[:, rho_s], -_MAX_ABS_RHO, _MAX_ABS_RHO)
+        rhos = _correlation_stack(canonical[:, rho_s], dimension)
+        upper = _upper_indices(dimension)
+        for row in _failing_rows(rhos):
+            canonical[row, rho_s] = _projected_correlation(rhos[row])[upper]
+        return canonical
 
     @classmethod
-    def unpack_parameter_matrix(
+    def canonical_moments(
         cls, matrix: np.ndarray, dimension: int
-    ) -> List["MultivariateNormalModel"]:
-        """Unpack a ``(batch, n_params)`` matrix into one model per row.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(means, sigmas, rhos)`` of the canonical rows of a ``(B, P)`` matrix, unchecked.
 
-        Each row goes through exactly the same clamping and correlation
-        projection as :meth:`unpack_parameters`, so a batched likelihood
-        evaluation over the rows agrees with evaluating the rows one by one
-        (the equivalence the vectorized CPE engine relies on).  The
-        per-model work is a few ``d x d`` operations — negligible against
-        the ``(batch x workers x nodes)`` likelihood tables downstream.
-        """
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        return [cls.unpack_parameters(row, dimension) for row in matrix]
-
-    @classmethod
-    def unpack_moment_stack(
-        cls, matrix: np.ndarray, dimension: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`unpack_parameters` straight to ``(means, covariances)``.
-
-        Produces exactly the moments that ``unpack_parameters(row).mean`` /
-        ``.covariance`` would, but unpacks the whole ``(B, n_params)`` batch
-        with vectorised clamping and a single batched Cholesky validity
-        check.  Rows whose correlation matrix fails the check (and would
-        therefore be projected by ``_normalise_rho``) fall back to the
-        scalar path one by one, so the results are identical in every case.
-        """
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        arrays = cls.unpack_stack_arrays(matrix, dimension)
-        if arrays is None:
-            models = [cls.unpack_parameters(row, dimension) for row in matrix]
-            return cls.stack_moments(models)
-        means, sigmas, rhos = arrays
-        covariances = rhos * (sigmas[:, :, None] * sigmas[:, None, :])
-        return means, covariances
-
-    @classmethod
-    def unpack_stack_arrays(
-        cls, matrix: np.ndarray, dimension: int
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Batched unpack to ``(means, sigmas, rhos)``, or ``None`` if any row needs projecting.
-
-        ``matrix`` is a ``(B, n_params)`` float array.  The arrays equal
-        ``unpack_parameters(row)``'s ``mean``, ``sigma`` and ``rho`` for
-        every row, provided all the clipped correlation matrices pass the
-        Cholesky check.  If one fails, ``None`` is returned and the caller
-        decides how to handle the projection ``_normalise_rho`` would apply.
+        The rows must come from :meth:`canonicalise`; nothing is clipped or
+        checked here.  The arrays then equal ``unpack_parameters(row)``'s
+        ``mean``, ``sigma`` and ``rho`` (``rho`` rebuilt symmetric from its
+        upper triangle).
         """
         mean_s, sigma_s, rho_s = cls.parameter_slices(dimension)
-        means = matrix[:, mean_s].copy()
-        sigmas = np.clip(matrix[:, sigma_s], _MIN_SIGMA, None)
-        rhos = _correlation_stack(np.clip(matrix[:, rho_s], -_MAX_ABS_RHO, _MAX_ABS_RHO), dimension)
-        if not _passes_cholesky_check(rhos):
-            return None
-        return means, sigmas, rhos
-
-    @staticmethod
-    def stack_moments(
-        models: Sequence["MultivariateNormalModel"],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Stack per-model means and covariances into ``(B, d)`` / ``(B, d, d)`` arrays."""
-        if not models:
-            raise ValueError("at least one model is required")
-        means = np.stack([model.mean for model in models])
-        covariances = np.stack([model.covariance for model in models])
-        return means, covariances
+        return matrix[:, mean_s], matrix[:, sigma_s], _correlation_stack(matrix[:, rho_s], dimension)
 
     @staticmethod
     def conditional_batch_stacked(
@@ -438,8 +424,8 @@ class MultivariateNormalModel:
         ----------
         means, covariances:
             ``(B, d)`` mean vectors and ``(B, d, d)`` covariance matrices —
-            one model per finite-difference perturbation (see
-            :meth:`stack_moments`).
+            one model per row of a canonical packed-parameter matrix (see
+            :meth:`canonical_moments`).
         observed_matrix:
             ``(R, m)`` prior-domain accuracies of ``R`` workers sharing the
             same observed-domain pattern.
@@ -541,10 +527,8 @@ class MultivariateNormalModel:
 
         return cond_means, max(float(variance), _MIN_SIGMA**2), pullback
 
-    @classmethod
+    @staticmethod
     def parameter_gradient(
-        cls,
-        vector: np.ndarray,
         sigma: np.ndarray,
         rho: np.ndarray,
         grad_mean: np.ndarray,
@@ -552,27 +536,17 @@ class MultivariateNormalModel:
     ) -> np.ndarray:
         """Chain a gradient with respect to ``(mean, covariance)`` back to the packed vector.
 
-        ``sigma`` and ``rho`` are the unpacked model's (see
-        :meth:`unpack_stack_arrays`); ``grad_cov`` holds the derivative with
+        ``sigma`` and ``rho`` are a canonical row's (see
+        :meth:`canonical_moments`); ``grad_cov`` holds the derivative with
         respect to every covariance entry taken as independent, so it need
         not be symmetric.  Through ``Sigma_ab = rho_ab sigma_a sigma_b`` each
-        correlation collects both of its entries.  Coordinates held by the
-        unpack's clips (``sigma`` below its floor, ``|rho|`` beyond its
-        bound) get a zero gradient.
+        correlation collects both of its entries.
         """
-        vector = np.asarray(vector, dtype=float)
-        _, sigma_s, rho_s = cls.parameter_slices(sigma.shape[0])
         rows, cols = _upper_indices(sigma.shape[0])
         weighted = grad_cov * rho
         grad_sigma = (weighted + weighted.T) @ sigma
-        grad_sigma[vector[sigma_s] < _MIN_SIGMA] = 0.0
         grad_rho = (grad_cov[rows, cols] + grad_cov[cols, rows]) * (sigma[rows] * sigma[cols])
-        grad_rho[np.abs(vector[rho_s]) > _MAX_ABS_RHO] = 0.0
         return np.concatenate([grad_mean, grad_sigma, grad_rho])
-
-    def with_parameters(self, vector: np.ndarray) -> "MultivariateNormalModel":
-        """Return a new model whose parameters are the given packed vector."""
-        return self.unpack_parameters(vector, self.dimension)
 
     # ------------------------------------------------------------------ #
     # Marginalisation helpers for workers with missing prior domains

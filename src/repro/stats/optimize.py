@@ -8,7 +8,7 @@ Two flavours are needed:
   hook; the CPE passes the closed form of Eq. (5).  Central finite
   differences — scalar, or from one batched objective call
   (:func:`finite_difference_gradient_batch`) — are the default, the CPE's
-  fallback where its closed form is undefined, and its test oracle.
+  fallback where a conditioning solve is singular, and its test oracle.
 * **Bounded scalar minimisation** for the per-worker learning-rate fit of
   Eq. (11), wrapped around :func:`scipy.optimize.minimize_scalar`.
 """
@@ -20,6 +20,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize as spo
+
+#: Central-difference step of :func:`gradient_descent`'s default gradient.
+_FD_STEP = 1e-5
+#: :func:`gradient_descent` stops once an accepted step improves the objective by less.
+_TOLERANCE = 1e-10
 
 
 @dataclass
@@ -129,19 +134,6 @@ def finite_difference_gradient_batch(
     return gradient
 
 
-def batch_gradient(
-    objective_batch: Callable[[np.ndarray], np.ndarray],
-    step: float = 1e-5,
-    mask: Optional[np.ndarray] = None,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """A ``gradient`` hook for :func:`gradient_descent` backed by a batched objective."""
-
-    def gradient(parameters: np.ndarray) -> np.ndarray:
-        return finite_difference_gradient_batch(objective_batch, parameters, step=step, mask=mask)
-
-    return gradient
-
-
 def gradient_descent(
     objective: Callable[[np.ndarray], float],
     initial: np.ndarray,
@@ -150,12 +142,16 @@ def gradient_descent(
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     mask: Optional[np.ndarray] = None,
-    fd_step: float = 1e-5,
-    tolerance: float = 1e-10,
-    backtracking: bool = True,
     max_backtracks: int = 8,
 ) -> GradientDescentResult:
-    """Minimise ``objective`` by (projected) gradient descent.
+    """Minimise ``objective`` by (projected) gradient descent with backtracking.
+
+    A step that would *increase* the objective is retried with successively
+    halved step sizes, up to ``max_backtracks`` tries; if none improves, the
+    descent stops.  This keeps the CPE likelihood update monotone and
+    prevents the parameter blow-ups a fixed step size can cause on steep
+    likelihood surfaces.  The descent also stops once an accepted step
+    improves the objective by less than ``1e-10``.
 
     Parameters
     ----------
@@ -171,21 +167,15 @@ def gradient_descent(
     n_epochs:
         Maximum number of update steps (the paper's ``G``).
     gradient:
-        Optional analytic gradient; defaults to central finite differences.
+        Optional analytic gradient; defaults to central finite differences
+        with step ``1e-5``.
     project:
         Optional projection applied after every step (e.g. clamping standard
         deviations positive and correlations to ``(-1, 1)``).
     mask:
         Optional boolean vector of trainable coordinates.
-    tolerance:
-        Early-stopping threshold on the objective improvement.
-    backtracking:
-        When ``True`` (default) a step that would *increase* the objective is
-        retried with successively halved step sizes (up to
-        ``max_backtracks``); if no improvement is found the descent stops.
-        This keeps the CPE likelihood update monotone and prevents the
-        parameter blow-ups a fixed step size can cause on steep likelihood
-        surfaces.
+    max_backtracks:
+        Step sizes tried per epoch before the descent gives up.
     """
     parameters = np.asarray(initial, dtype=float).copy()
     rates = np.asarray(learning_rates, dtype=float)
@@ -201,7 +191,7 @@ def gradient_descent(
         grad = (
             gradient(parameters)
             if gradient is not None
-            else finite_difference_gradient(objective, parameters, step=fd_step, mask=mask)
+            else finite_difference_gradient(objective, parameters, step=_FD_STEP, mask=mask)
         )
         if mask is not None:
             grad = np.where(mask, grad, 0.0)
@@ -214,12 +204,12 @@ def gradient_descent(
         candidate = parameters
         current = previous_value
         accepted = False
-        for _ in range(max_backtracks if backtracking else 1):
+        for _ in range(max_backtracks):
             candidate = parameters - scale * rates * grad
             if project is not None:
                 candidate = project(candidate)
             current = float(objective(candidate))
-            if not backtracking or current <= previous_value:
+            if current <= previous_value:
                 accepted = True
                 break
             scale *= 0.5
@@ -229,7 +219,7 @@ def gradient_descent(
 
         parameters = candidate
         history.append(current)
-        if abs(previous_value - current) < tolerance:
+        if abs(previous_value - current) < _TOLERANCE:
             converged = True
             break
     return GradientDescentResult(
@@ -284,7 +274,6 @@ def minimize_scalar_bounded(
 
 __all__ = [
     "GradientDescentResult",
-    "batch_gradient",
     "finite_difference_gradient",
     "finite_difference_gradient_batch",
     "gradient_descent",

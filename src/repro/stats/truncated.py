@@ -94,8 +94,13 @@ def truncated_normal_mean(mean: float, std: float, lower: float, upper: float) -
     return float(mean + std * numer / denom)
 
 
+def _x_pdf(x: float) -> float:
+    """``x * phi(x)``, taken as its limit 0 at an infinite bound."""
+    return x * _norm_pdf(x) if np.isfinite(x) else 0.0
+
+
 def truncated_normal_variance(mean: float, std: float, lower: float, upper: float) -> float:
-    """Variance of a normal truncated to ``[lower, upper]``."""
+    """Variance of a normal truncated to ``[lower, upper]`` (either bound may be infinite)."""
     if std <= 0:
         return 0.0
     a = (lower - mean) / std
@@ -104,7 +109,7 @@ def truncated_normal_variance(mean: float, std: float, lower: float, upper: floa
     if denom < 1e-12:
         return 0.0
     phi_a, phi_b = _norm_pdf(a), _norm_pdf(b)
-    term1 = (a * phi_a - b * phi_b) / denom if np.isfinite(a) and np.isfinite(b) else 0.0
+    term1 = (_x_pdf(a) - _x_pdf(b)) / denom
     term2 = ((phi_a - phi_b) / denom) ** 2
     return float(std**2 * (1.0 + term1 - term2))
 

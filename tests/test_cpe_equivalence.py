@@ -49,7 +49,13 @@ def random_models(rng: np.random.Generator, base: MultivariateNormalModel, n_mod
     """Models at randomly perturbed packed-parameter vectors around ``base``."""
     theta = base.pack_parameters()
     thetas = theta[None, :] + rng.normal(0.0, 0.05, size=(n_models, theta.size))
-    return MultivariateNormalModel.unpack_parameter_matrix(thetas, base.dimension), thetas
+    return [MultivariateNormalModel.unpack_parameters(row, base.dimension) for row in thetas], thetas
+
+
+def stacked_log_likelihood(estimator, thetas, data) -> np.ndarray:
+    """The vectorized engine's Eq. (5) log-likelihood at each (canonicalised) row."""
+    canonical = MultivariateNormalModel.canonicalise(thetas, DIMENSION)
+    return -estimator.objective_stack(canonical, data) * data.n_workers
 
 
 class TestLikelihoodEquivalence:
@@ -60,10 +66,10 @@ class TestLikelihoodEquivalence:
         profiles, correct, wrong = random_workload(rng, n_workers=int(rng.integers(4, 40)))
         base = estimator.initialize(profiles)
         data = estimator.prepare_round(profiles, correct, wrong)
-        models, _ = random_models(rng, base, n_models=6)
-        for model in models:
+        models, thetas = random_models(rng, base, n_models=6)
+        for model, theta in zip(models, thetas):
             reference = estimator.log_likelihood(model, profiles, correct, wrong)
-            fast = float(estimator.log_likelihood_batch([model], data)[0])
+            fast = float(stacked_log_likelihood(estimator, theta[None, :], data)[0])
             assert fast == pytest.approx(reference, abs=1e-10, rel=1e-12)
 
     def test_batch_matches_sequential_evaluation(self):
@@ -72,22 +78,24 @@ class TestLikelihoodEquivalence:
         profiles, correct, wrong = random_workload(rng, n_workers=25)
         base = estimator.initialize(profiles)
         data = estimator.prepare_round(profiles, correct, wrong)
-        models, _ = random_models(rng, base, n_models=12)
-        batch = estimator.log_likelihood_batch(models, data)
+        models, thetas = random_models(rng, base, n_models=12)
+        batch = stacked_log_likelihood(estimator, thetas, data)
         sequential = [estimator.log_likelihood(m, profiles, correct, wrong) for m in models]
         np.testing.assert_allclose(batch, sequential, atol=1e-10, rtol=1e-12)
 
-    def test_unpack_moment_stack_identical_to_scalar_unpack(self):
+    def test_canonical_moments_match_scalar_unpack(self):
         rng = np.random.default_rng(3)
         estimator = make_estimator(seed=3)
         profiles, _, _ = random_workload(rng, n_workers=10)
         base = estimator.initialize(profiles)
-        # Include rows that violate positive definiteness so the scalar
-        # projection fallback is exercised too.
+        # Include rows that violate positive definiteness so the projection
+        # is exercised too.
         _, thetas = random_models(rng, base, n_models=8)
         _, _, rho_slice = MultivariateNormalModel.parameter_slices(DIMENSION)
-        thetas[-1, rho_slice] = 0.999  # all-0.999 correlations: projected
-        means, covariances = MultivariateNormalModel.unpack_moment_stack(thetas, DIMENSION)
+        thetas[-1, rho_slice] = -0.999  # all -0.999 is no correlation matrix: projected
+        canonical = MultivariateNormalModel.canonicalise(thetas, DIMENSION)
+        means, sigmas, rhos = MultivariateNormalModel.canonical_moments(canonical, DIMENSION)
+        covariances = rhos * (sigmas[:, :, None] * sigmas[:, None, :])
         for index, row in enumerate(thetas):
             scalar = MultivariateNormalModel.unpack_parameters(row, DIMENSION)
             np.testing.assert_array_equal(means[index], scalar.mean)
@@ -120,8 +128,7 @@ class TestGradientEquivalence:
             return -estimator.log_likelihood(model, profiles, correct, wrong)
 
         def objective_batch(matrix):
-            models = MultivariateNormalModel.unpack_parameter_matrix(matrix, DIMENSION)
-            return -estimator.log_likelihood_batch(models, data)
+            return -stacked_log_likelihood(estimator, matrix, data)
 
         sequential = finite_difference_gradient(objective, theta, step=1e-5, mask=mask)
         batched = finite_difference_gradient_batch(objective_batch, theta, step=1e-5, mask=mask)

@@ -3,14 +3,18 @@
 ``CrossDomainPerformanceEstimator.objective_gradient`` differentiates the
 update's objective (the negative Eq. (5) log-likelihood per worker) in one
 forward and one backward pass.  These tests hold it to central finite
-differences of ``objective_stack``, the same objective the line search
-uses, over random pools: 1-4 prior domains, workers with missing domains
-or no history at all, 3-100 workers, and the frozen-prior-moments mask.
-Where the closed form is undefined, the gradient must be exactly the
-finite-difference one.
+differences of ``objective_stack`` over canonicalised perturbations, the
+same objective the line search uses, over random pools: 1-4 prior domains,
+workers with missing domains or no history at all, 3-100 workers, and the
+frozen-prior-moments mask.  Where a conditioning solve is singular, the
+gradient must be exactly the finite-difference one.  The update checks a
+candidate's correlations once, where it projects the candidate; the
+gradient and the line search read the canonical candidate unchecked.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.core.cpe as cpe_module
+import repro.stats.mvn as mvn_module
 from repro.campaign import Campaign
 from repro.core.cpe import CPEConfig, CrossDomainPerformanceEstimator
 from repro.stats.mvn import MultivariateNormalModel
@@ -62,9 +67,17 @@ def raw_conditional_variances(estimator, theta, data) -> np.ndarray:
     return np.asarray(variances)
 
 
+def canonical(estimator, theta) -> np.ndarray:
+    return MultivariateNormalModel.canonicalise(theta, estimator.target_index + 1)[0]
+
+
 def fd_gradient(estimator, theta, data, step, mask=None) -> np.ndarray:
+    dimension = estimator.target_index + 1
     return finite_difference_gradient_batch(
-        lambda thetas: estimator.objective_stack(thetas, data), theta, step=step, mask=mask
+        lambda thetas: estimator.objective_stack(MultivariateNormalModel.canonicalise(thetas, dimension), data),
+        theta,
+        step=step,
+        mask=mask,
     )
 
 
@@ -89,14 +102,18 @@ def test_analytic_gradient_matches_central_differences(
     profiles, correct, wrong = random_round(seed, n_domains, n_workers, missing_rate)
     model = estimator.initialize(profiles)
     data = estimator.prepare_round(profiles, correct, wrong)
-    theta = model.pack_parameters()
-    theta = theta + np.random.default_rng(seed).normal(0.0, 0.02, size=theta.size)
+    raw = model.pack_parameters()
+    raw = raw + np.random.default_rng(seed).normal(0.0, 0.02, size=raw.size)
+    theta = canonical(estimator, raw)
     mask = update_mask(estimator)
 
-    analytic = estimator._log_likelihood_gradient(theta, data)
-    assume(analytic is not None)  # a centre that needs projecting: see the fallback tests
-    # The variance floor is a kink; central differences straddling it
-    # average two one-sided slopes, so keep clear of it.
+    # The clip bounds and the variance floor are kinks; central differences
+    # straddling one average two one-sided slopes, so keep clear of them.
+    _, sigma_slice, rho_slice = MultivariateNormalModel.parameter_slices(estimator.target_index + 1)
+    assume(np.all(theta[sigma_slice] > 1e-4) and np.all(np.abs(theta[rho_slice]) < 0.999))
+    # A projected centre lies ~1e-4 from the positive-definite boundary,
+    # too steep for central differences; TestFallback covers one exactly.
+    assume(np.array_equal(theta[rho_slice], raw[rho_slice]))
     floor = max(min_conditional_std**2, 1e-8)
     variances = raw_conditional_variances(estimator, theta, data)
     assume(np.all(np.abs(variances - floor) > 1e-3 * floor))
@@ -151,16 +168,24 @@ class TestFallback:
         model = estimator.initialize(profiles)
         return estimator, estimator.prepare_round(profiles, correct, wrong), model.pack_parameters()
 
-    def test_centre_failing_the_cholesky_check_uses_finite_differences(self):
+    def test_centre_failing_the_cholesky_check_is_projected_first(self, monkeypatch):
         estimator, data, theta = self.prepared()
         _, _, rho_slice = MultivariateNormalModel.parameter_slices(4)
         # rho_ab = rho_ac = 0.99 with rho_bc = -0.99 is not a correlation matrix.
         theta[rho_slice] = [0.99, 0.99, 0.2, -0.99, 0.2, 0.2]
-        assert MultivariateNormalModel.unpack_stack_arrays(theta[None, :], 4) is None
+        centre = canonical(estimator, theta)
+        assert not np.array_equal(centre[rho_slice], theta[rho_slice])  # projected
         mask = np.ones(theta.size, dtype=bool)
         mask[0] = False
-        expected = fd_gradient(estimator, theta, data, 1e-5, mask)
-        np.testing.assert_array_equal(estimator.objective_gradient(theta, data, mask), expected)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the finite-difference fallback ran")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cpe_module, "finite_difference_gradient_batch", forbidden)
+            gradient = estimator.objective_gradient(centre, data, mask)
+        expected = fd_gradient(estimator, centre, data, 1e-6, mask)
+        np.testing.assert_allclose(gradient, expected, rtol=1e-6, atol=1e-8)
 
     def test_singular_conditioning_uses_finite_differences(self, monkeypatch):
         estimator, data, theta = self.prepared()
@@ -173,6 +198,52 @@ class TestFallback:
         monkeypatch.setattr(np.linalg, "solve", singular)
         expected = fd_gradient(estimator, theta, data, 1e-5)
         np.testing.assert_array_equal(estimator.objective_gradient(theta, data), expected)
+
+
+def test_update_checks_each_candidate_once(monkeypatch):
+    """One ``update`` makes one Cholesky check per projected candidate, plus one per model built.
+
+    The line search and the gradient read the canonical candidates
+    unchecked.  Near-collinear initial correlations make some candidates
+    need projecting, so the count holds on that branch too.
+    """
+    counts = Counter()
+
+    def counting(name, function):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        mvn_module, "_passes_cholesky_check", counting("checks", mvn_module._passes_cholesky_check)
+    )
+    monkeypatch.setattr(
+        mvn_module, "_projected_correlation", counting("projections", mvn_module._projected_correlation)
+    )
+    monkeypatch.setattr(
+        MultivariateNormalModel, "__post_init__", counting("models", MultivariateNormalModel.__post_init__)
+    )
+    descent = cpe_module.gradient_descent
+
+    def counting_descent(**kwargs):
+        kwargs["objective"] = counting("objectives", kwargs["objective"])
+        kwargs["gradient"] = counting("gradients", kwargs["gradient"])
+        kwargs["project"] = counting("projects", kwargs["project"])
+        return descent(**kwargs)
+
+    monkeypatch.setattr(cpe_module, "gradient_descent", counting_descent)
+    config = CPEConfig(correlation_range=(0.9, 1.0), n_epochs=30)
+    estimator = CrossDomainPerformanceEstimator(["a", "b", "c"], config, rng=2)
+    profiles, correct, wrong = random_round(2, 3, 40, 0.2)
+    estimator.update(profiles, correct, wrong)
+
+    assert counts["checks"] == counts["projects"] + counts["models"], counts
+    assert counts["models"] == 2  # the initial model and the fitted one
+    assert counts["projections"] > 0
+    assert counts["objectives"] > counts["projects"] > 0
+    assert counts["gradients"] > 0
 
 
 def test_campaign_updates_take_the_analytic_path(monkeypatch):

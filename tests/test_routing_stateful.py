@@ -17,6 +17,10 @@ announcement must reach it.
   every pick must be the brute-force minimum of
   ``(active, assigned_total, worker_id)`` over the eligible workers with
   spare capacity.
+* ``RoundRobinShared`` runs it on one world routed by ``round_robin``;
+  every pick must be the next eligible worker with spare capacity in a
+  brute-force walk of ``pool.worker_ids`` from the machine's own cursor,
+  and the router's mirrored order must equal ``pool.worker_ids``.
 
 Concurrency caps of 1–3 make workers saturate often, so the index really
 parks them and has to re-admit them — also when the slot frees through the
@@ -39,6 +43,7 @@ from repro.serving.routing import (
     DomainAffinityRouter,
     LeastLoadedRouter,
     NoEligibleWorkersError,
+    RoundRobinRouter,
 )
 
 DOMAINS = ("d0", "d1")
@@ -309,7 +314,67 @@ class LeastLoadedShared(SharedPoolMachine):
         self.in_flight.extend((name, worker_id) for worker_id in expected)
 
 
-for machine in (AffinityDifferential, LeastLoadedShared):
+def round_robin_walk(pool: ServingPool, domain: str, n_votes: int, cursor: int) -> Tuple[List[str], int]:
+    """Brute force: walk ``pool.worker_ids`` once from ``cursor``; return the picks and the new cursor.
+
+    A worker is picked when it is eligible on ``domain`` and has spare
+    capacity; every visited position advances the cursor, and the walk
+    stops at ``n_votes`` picks or after one lap.
+    """
+    order = pool.worker_ids
+    chosen: List[str] = []
+    for _ in range(len(order)):
+        if len(chosen) == n_votes:
+            break
+        worker = pool[order[cursor % len(order)]]
+        cursor += 1
+        if worker.tier_on(domain) >= QualificationTier.FALLBACK and worker.active < worker.max_concurrent:
+            chosen.append(worker.worker_id)
+    return chosen, cursor
+
+
+class RoundRobinShared(SharedPoolMachine):
+    """``round_robin`` over shared workers against a brute-force walk of the pool order."""
+
+    @initialize(specs=st.lists(worker_spec, min_size=2, max_size=8), data=st.data())
+    def build(self, specs, data):
+        self.worlds = (World(RoundRobinRouter, specs, self.draw_membership(specs, data)),)
+        self.next_id = len(specs)
+        self.cursors = {name: 0 for name in POOLS}
+
+    def expect(self, name: str, domain: str, n_votes: int) -> List[str]:
+        picks, self.cursors[name] = round_robin_walk(
+            self.worlds[0].pools[name], domain, n_votes, self.cursors[name]
+        )
+        return picks
+
+    @rule(name=st.sampled_from(POOLS), domain=st.sampled_from(DOMAINS), n_votes=st.integers(1, 4))
+    def route(self, name, domain, n_votes):
+        expected = self.expect(name, domain, n_votes) or "exhausted"
+        assert self.worlds[0].route(name, domain, n_votes) == expected
+        if expected != "exhausted":
+            self.in_flight.extend((name, worker_id) for worker_id in expected)
+
+    @rule(
+        name=st.sampled_from(POOLS), domain=st.sampled_from(DOMAINS), n_votes=st.integers(1, 3), data=st.data()
+    )
+    def route_excluding(self, name, domain, n_votes, data):
+        members = self.members(name)
+        exclude = data.draw(st.lists(st.sampled_from(members), max_size=3, unique=True)) if members else []
+        over = self.expect(name, domain, n_votes + len(exclude))
+        expected = [worker_id for worker_id in over if worker_id not in exclude][:n_votes]
+        assert self.worlds[0].route(name, domain, n_votes, exclude) == expected
+        self.in_flight.extend((name, worker_id) for worker_id in expected)
+
+    @invariant()
+    def order_mirrors_the_pool(self):
+        for world in self.worlds:
+            for name in POOLS:
+                assert world.routers[name]._order == world.pools[name].worker_ids
+
+
+for machine in (AffinityDifferential, LeastLoadedShared, RoundRobinShared):
     machine.TestCase.settings = settings(machine.TestCase.settings, deadline=None, stateful_step_count=40)
 TestAffinityDifferential = AffinityDifferential.TestCase
 TestLeastLoadedShared = LeastLoadedShared.TestCase
+TestRoundRobinShared = RoundRobinShared.TestCase

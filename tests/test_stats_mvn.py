@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from repro.stats.mvn import (
     MultivariateNormalModel,
+    _correlation_stack,
+    _passes_cholesky_check,
     correlation_from_covariance,
     nearest_positive_definite,
 )
@@ -92,9 +96,11 @@ class TestConditional:
         base = example_model()
         rng = np.random.default_rng(0)
         thetas = base.pack_parameters()[None, :] + rng.normal(0, 0.05, size=(5, 9))
-        models = MultivariateNormalModel.unpack_parameter_matrix(thetas, base.dimension)
+        models = [MultivariateNormalModel.unpack_parameters(row, base.dimension) for row in thetas]
         observations = np.array([[0.75, 0.55], [0.6, 0.7], [0.5, 0.5]])
-        means, covariances = MultivariateNormalModel.stack_moments(models)
+        canonical = MultivariateNormalModel.canonicalise(thetas, base.dimension)
+        means, sigmas, rhos = MultivariateNormalModel.canonical_moments(canonical, base.dimension)
+        covariances = rhos * (sigmas[:, :, None] * sigmas[:, None, :])
         stacked_means, stacked_vars = MultivariateNormalModel.conditional_batch_stacked(
             means, covariances, observations, [0, 1], 2
         )
@@ -106,16 +112,12 @@ class TestConditional:
 
     def test_stacked_batch_empty_observation_set(self):
         model = example_model()
-        means, covariances = MultivariateNormalModel.stack_moments([model, model])
+        means, covariances = np.stack([model.mean] * 2), np.stack([model.covariance] * 2)
         stacked_means, stacked_vars = MultivariateNormalModel.conditional_batch_stacked(
             means, covariances, np.zeros((4, 0)), [], 2
         )
         np.testing.assert_allclose(stacked_means, np.full((2, 4), model.mean[2]))
         np.testing.assert_allclose(stacked_vars, np.full(2, model.covariance[2, 2]))
-
-    def test_stack_moments_requires_models(self):
-        with pytest.raises(ValueError):
-            MultivariateNormalModel.stack_moments([])
 
     def test_conditional_variance_reduces_uncertainty(self):
         model = example_model()
@@ -159,12 +161,106 @@ class TestParameterVector:
         rebuilt = MultivariateNormalModel.unpack_parameters(packed, 3)
         assert abs(rebuilt.rho[1, 2]) < 1.0
 
-    def test_with_parameters(self):
+    def test_unpack_parameters_reads_a_shifted_vector(self):
         model = example_model()
         packed = model.pack_parameters()
         packed[0] += 0.05
-        shifted = model.with_parameters(packed)
+        shifted = MultivariateNormalModel.unpack_parameters(packed, model.dimension)
         assert shifted.mean[0] == pytest.approx(model.mean[0] + 0.05)
+
+
+#: Correlations that need clipping, projecting or both; 0.999 is the bound.
+correlation_entry = st.one_of(
+    st.floats(-1.5, 1.5),
+    st.sampled_from([0.999, -0.999, 0.99, -0.99, 0.5, -0.5, 1.5, -1.5]),
+)
+
+
+@st.composite
+def packed_rows(draw):
+    """``(dimension, row)``: a packed parameter vector of 2-6 domains.
+
+    One row in four has every correlation at -0.999, which for three or
+    more domains is not a correlation matrix and must be projected; one in
+    four has every correlation at 0.999, a valid matrix on the bound.
+    """
+    dimension = draw(st.integers(2, 6))
+    n_corr = dimension * (dimension - 1) // 2
+    means = draw(st.lists(st.floats(-0.5, 1.5), min_size=dimension, max_size=dimension))
+    sigmas = draw(st.lists(st.floats(-0.1, 0.8), min_size=dimension, max_size=dimension))
+    kind = draw(st.integers(0, 3))
+    if kind < 2:
+        rhos = [(-0.999, 0.999)[kind]] * n_corr
+    else:
+        rhos = draw(st.lists(correlation_entry, min_size=n_corr, max_size=n_corr))
+    return dimension, np.array(means + sigmas + rhos)
+
+
+#: Projected, these correlations leave a near-collinear pair beyond the 0.999
+#: bound; clipping that one entry would break positive definiteness.
+NEAR_COLLINEAR_ROW = (
+    5,
+    np.concatenate([[0.5] * 5, [0.2] * 5, [1.5, -0.999, 0.999, 0.99, -0.999, 1.5, 0.99, 1.5, 1.5, 0.999]]),
+)
+
+
+class TestCanonicalise:
+    """The invariant the CPE update relies on: canonical rows need no further check."""
+
+    @given(packed_rows())
+    @example(NEAR_COLLINEAR_ROW)
+    def test_canonical_rows_are_fixed_points_that_pass_the_check(self, drawn):
+        dimension, row = drawn
+        canonical = MultivariateNormalModel.canonicalise(row[None, :], dimension)
+        _, _, rho_s = MultivariateNormalModel.parameter_slices(dimension)
+        np.testing.assert_array_equal(
+            MultivariateNormalModel.canonicalise(canonical, dimension), canonical
+        )
+        assert _passes_cholesky_check(_correlation_stack(canonical[:, rho_s], dimension))
+
+    @given(packed_rows())
+    @example(NEAR_COLLINEAR_ROW)
+    def test_unchecked_moments_equal_the_scalar_unpack(self, drawn):
+        dimension, row = drawn
+        canonical = MultivariateNormalModel.canonicalise(row[None, :], dimension)
+        means, sigmas, rhos = MultivariateNormalModel.canonical_moments(canonical, dimension)
+        scalar = MultivariateNormalModel.unpack_parameters(row, dimension)
+        np.testing.assert_array_equal(means[0], scalar.mean)
+        np.testing.assert_array_equal(sigmas[0], scalar.sigma)
+        upper = np.triu_indices(dimension)
+        np.testing.assert_array_equal(rhos[0][upper], scalar.rho[upper])
+        # A projected rho may be asymmetric in its last bits; the packed
+        # form keeps its upper triangle.
+        np.testing.assert_allclose(rhos[0], scalar.rho, rtol=0.0, atol=1e-15)
+
+    def test_a_row_that_is_not_a_correlation_matrix_is_projected(self):
+        row = np.concatenate([[0.5, 0.6, 0.7, 0.8], [0.1] * 4, [-0.999] * 6])
+        _, _, rho_s = MultivariateNormalModel.parameter_slices(4)
+        assert not _passes_cholesky_check(_correlation_stack(row[None, rho_s], 4))
+        canonical = MultivariateNormalModel.canonicalise(row[None, :], 4)[0]
+        assert not np.array_equal(canonical[rho_s], row[rho_s])
+        np.testing.assert_array_equal(canonical[:8], row[:8])
+
+    def test_rows_are_canonicalised_independently(self):
+        rng = np.random.default_rng(5)
+        rows = np.concatenate(
+            [np.full((3, 4), 0.6), rng.uniform(-0.1, 0.5, (3, 4)), rng.uniform(-1.2, 1.2, (3, 6))], axis=1
+        )
+        rows[1, 8:] = -0.999  # projected: the batch is checked row by row
+        stacked = MultivariateNormalModel.canonicalise(rows, 4)
+        for index, row in enumerate(rows):
+            np.testing.assert_array_equal(
+                stacked[index], MultivariateNormalModel.canonicalise(row[None, :], 4)[0]
+            )
+            np.testing.assert_array_equal(
+                stacked[index], MultivariateNormalModel.unpack_parameters(row, 4).pack_parameters()
+            )
+
+    def test_projection_that_would_clip_a_pair_stays_positive_definite(self):
+        # The projection shrinks all correlations towards zero instead.
+        model = MultivariateNormalModel.unpack_parameters(NEAR_COLLINEAR_ROW[1], 5)
+        np.linalg.cholesky(model.rho + 1e-8 * np.eye(5))
+        assert np.max(np.abs(model.rho - np.eye(5))) <= 0.999
 
 
 class TestHelpers:

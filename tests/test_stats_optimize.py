@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.stats.optimize import (
-    batch_gradient,
     finite_difference_gradient,
     finite_difference_gradient_batch,
     gradient_descent,
@@ -85,7 +84,9 @@ class TestFiniteDifferenceGradientBatch:
             initial=np.array([2.0, -3.0]),
             learning_rates=0.2,
             n_epochs=100,
-            gradient=batch_gradient(lambda matrix: np.sum(matrix**2, axis=1)),
+            gradient=lambda theta: finite_difference_gradient_batch(
+                lambda matrix: np.sum(matrix**2, axis=1), theta
+            ),
         )
         np.testing.assert_allclose(result.parameters, np.zeros(2), atol=1e-3)
 

@@ -59,6 +59,11 @@ class TestTruncatedMoments:
         expected = sps.truncnorm(a, b, loc=0.6, scale=0.25).var()
         assert truncated_normal_variance(0.6, 0.25, 0.0, 1.0) == pytest.approx(expected, rel=1e-5)
 
+    @pytest.mark.parametrize("lower, upper", [(-np.inf, 1.0), (0.0, np.inf), (0.0, 1.0)])
+    def test_variance_matches_scipy_with_one_sided_bounds(self, lower, upper):
+        expected = sps.truncnorm(lower, upper).var()
+        assert truncated_normal_variance(0.0, 1.0, lower, upper) == pytest.approx(expected, rel=1e-12)
+
     def test_mean_inside_bounds(self):
         assert 0.0 <= truncated_normal_mean(-2.0, 0.5, 0.0, 1.0) <= 1.0
         assert 0.0 <= truncated_normal_mean(3.0, 0.5, 0.0, 1.0) <= 1.0
