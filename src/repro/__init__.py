@@ -151,7 +151,7 @@ from repro.workers import (
     register_behavior,
 )
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 __all__ = [
     "__version__",

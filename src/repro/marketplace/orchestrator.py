@@ -55,10 +55,14 @@ from repro.serving.qualification import (
 from repro.serving.quality import DriftConfig
 from repro.serving.routing import resolve_router_name
 from repro.stats.rng import counter_draws, counter_uniforms, derive_seed, stream_seeds, token_hashes
-from repro.workers.population import PopulationConfig, sample_learning_population
+from repro.workers.behavior import WorkerBehavior
+from repro.workers.population import PopulationConfig, sample_arrival_block
 
 #: ``id_prefix`` of workers minted by the arrival sampler.
 ARRIVAL_PREFIX = "mkt"
+
+#: Arrival indices drawn ahead at a time: one stacked population draw each.
+ARRIVAL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,11 @@ class MarketWorker:
 
 
 class Marketplace:
-    """Shared worker registry with open-world churn and answer streams."""
+    """Shared worker registry with open-world churn and answer streams.
+
+    Arrival workers are drawn ahead in blocks of ``ARRIVAL_BLOCK`` indices
+    (see :meth:`admit_arrivals`); the registry holds only admitted ones.
+    """
 
     def __init__(self, config: MarketplaceConfig, population: PopulationConfig, seed: int = 0) -> None:
         self._config = config
@@ -189,6 +197,9 @@ class Marketplace:
         self._workers: Dict[str, MarketWorker] = {}
         self._handles: List[CampaignHandle] = []
         self._arrival_index = 0
+        # Workers of arrival indices _arrival_index, _arrival_index + 1, ...
+        # drawn ahead (each is a pure function of the seed and its index).
+        self._drawn_arrivals: List[WorkerBehavior] = []
         self._answer_seed = derive_seed(self._seed, "marketplace", "answers")
         self._prestudy_seed = derive_seed(self._seed, "marketplace", "prestudy")
         self.arrivals_admitted = 0
@@ -299,29 +310,35 @@ class Marketplace:
         turned away; an admitted worker joins the pool of every *serving*
         campaign whose domain it qualifies on.
 
-        The tick's prestudy is drawn in one block: one stream seed per
-        arrival, one ``(arrivals x questions)`` uniform matrix, and one
-        accuracy matrix over exposures ``0 .. questions`` whose last column
-        is the admitted worker's target accuracy.  Each arrival's worker is
-        still sampled on its own, because its seed is keyed by its index.
+        Arrival ``i``'s worker is a pure function of the population, the
+        seed and ``i``: a one-worker pool drawn with its own per-index
+        generator.  The workers are taken in index order from a buffer
+        that :func:`~repro.workers.population.sample_arrival_block` refills
+        ``ARRIVAL_BLOCK`` indices at a time, sharing the linear algebra of
+        the whole block; drawing ahead changes no worker, so a resumed run
+        (a fresh marketplace) needs nothing of the buffer.  The tick's
+        prestudy is drawn in one block: one stream seed per arrival, one
+        ``(arrivals x questions)`` uniform matrix, and one accuracy matrix
+        over exposures ``0 .. questions`` whose last column is the admitted
+        worker's target accuracy.
         """
         if count <= 0:
             return []
         policy = self._config.qualification
         n_questions = self._config.prestudy_questions
         target = self._population.target_domain
-        first = self._arrival_index
+        while len(self._drawn_arrivals) < count:
+            first = self._arrival_index + len(self._drawn_arrivals)
+            seeds = [
+                derive_seed(self._seed, "marketplace", "arrival", index)
+                for index in range(first, first + ARRIVAL_BLOCK)
+            ]
+            self._drawn_arrivals.extend(
+                sample_arrival_block(self._population, seeds, id_prefix=ARRIVAL_PREFIX, id_offset=first)
+            )
+        behaviors = self._drawn_arrivals[:count]
+        del self._drawn_arrivals[:count]
         self._arrival_index += count
-        behaviors = [
-            sample_learning_population(
-                self._population,
-                1,
-                rng=derive_seed(self._seed, "marketplace", "arrival", index),
-                id_prefix=ARRIVAL_PREFIX,
-                id_offset=index,
-            )[0]
-            for index in range(first, first + count)
-        ]
         gids = [behavior.profile.worker_id for behavior in behaviors]
         uniforms = counter_uniforms(stream_seeds(self._prestudy_seed, token_hashes(gids)), n_questions)
         exposures = np.broadcast_to(np.arange(n_questions + 1, dtype=float), (count, n_questions + 1))

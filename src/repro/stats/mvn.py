@@ -113,6 +113,23 @@ def _projected_correlation(rho: np.ndarray) -> np.ndarray:
     return projected
 
 
+def valid_correlations(upper: np.ndarray, dimension: int) -> np.ndarray:
+    """``(B, d, d)`` valid correlation matrices from ``(B, d(d-1)/2)`` upper triangles.
+
+    Each entry is clipped to the correlation bound; one batched Cholesky
+    check finds the matrices that are not usable as they stand, and only
+    those are projected (:func:`_projected_correlation`), each as computed
+    — so a projected matrix keeps the last-bit asymmetry of its
+    eigen-decomposition.  Row ``b`` is the ``rho`` that
+    :class:`MultivariateNormalModel` keeps for the symmetric matrix with
+    upper triangle ``upper[b]``.
+    """
+    rhos = _correlation_stack(np.clip(upper, -_MAX_ABS_RHO, _MAX_ABS_RHO), dimension)
+    for row in _failing_rows(rhos):
+        rhos[row] = _projected_correlation(rhos[row])
+    return rhos
+
+
 def _robust_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` with a pseudo-inverse fallback.
 
@@ -131,12 +148,13 @@ def nearest_positive_definite(matrix: np.ndarray, eps: float = _PD_EPS) -> np.nd
 
     Eigenvalues below ``eps`` are clipped.  The input is symmetrised first so
     small numerical asymmetries from finite-difference updates do not
-    accumulate.
+    accumulate.  A ``(B, d, d)`` stack is projected matrix by matrix in one
+    stacked ``eigh``, each slice bit for bit as it would be on its own.
     """
-    sym = 0.5 * (matrix + matrix.T)
+    sym = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
     eigenvalues, eigenvectors = np.linalg.eigh(sym)
     clipped = np.clip(eigenvalues, eps, None)
-    return (eigenvectors * clipped) @ eigenvectors.T
+    return (eigenvectors * clipped[..., None, :]) @ np.swapaxes(eigenvectors, -1, -2)
 
 
 def correlation_from_covariance(covariance: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -238,11 +256,9 @@ class MultivariateNormalModel:
         frequently inconsistent but the per-domain moments must match
         Table IV.
         """
-        self.rho = 0.5 * (self.rho + self.rho.T)
-        self.rho = np.clip(self.rho, -_MAX_ABS_RHO, _MAX_ABS_RHO)
-        np.fill_diagonal(self.rho, 1.0)
-        if not _passes_cholesky_check(self.rho):
-            self.rho = _projected_correlation(self.rho)
+        rows, cols = _upper_indices(self.dimension)
+        symmetric = 0.5 * (self.rho + self.rho.T)
+        self.rho = valid_correlations(symmetric[None, rows, cols], self.dimension)[0]
 
     # ------------------------------------------------------------------ #
     # Conditional distribution (mu_bar, Sigma_bar of Eq. 5)
@@ -389,11 +405,8 @@ class MultivariateNormalModel:
         _, sigma_s, rho_s = cls.parameter_slices(dimension)
         canonical = matrix.copy()
         canonical[:, sigma_s] = np.clip(matrix[:, sigma_s], _MIN_SIGMA, None)
-        canonical[:, rho_s] = np.clip(matrix[:, rho_s], -_MAX_ABS_RHO, _MAX_ABS_RHO)
-        rhos = _correlation_stack(canonical[:, rho_s], dimension)
-        upper = _upper_indices(dimension)
-        for row in _failing_rows(rhos):
-            canonical[row, rho_s] = _projected_correlation(rhos[row])[upper]
+        rows, cols = _upper_indices(dimension)
+        canonical[:, rho_s] = valid_correlations(matrix[:, rho_s], dimension)[:, rows, cols]
         return canonical
 
     @classmethod
@@ -570,4 +583,5 @@ __all__ = [
     "MultivariateNormalModel",
     "nearest_positive_definite",
     "correlation_from_covariance",
+    "valid_correlations",
 ]

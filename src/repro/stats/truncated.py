@@ -5,7 +5,9 @@ multivariate normal *truncated to the unit hypercube* ``(0, 1)^d`` because
 the coordinates are annotation accuracies.  This module provides:
 
 * rejection sampling from a truncated multivariate normal, with a clipping
-  fallback when the acceptance region is tiny;
+  fallback when the acceptance region is tiny — for one model, or for a
+  block of models with one generator each, whose covariance projections
+  and SVDs are then one stacked call each;
 * univariate truncated-normal sampling and first moments, which the CPE
   estimator uses to turn a conditional normal over the target-domain
   accuracy into a prediction inside ``(0, 1)`` (Eq. 8).
@@ -13,6 +15,8 @@ the coordinates are annotation accuracies.  This module provides:
 
 from __future__ import annotations
 
+import warnings
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -21,6 +25,9 @@ from repro.stats.mvn import MultivariateNormalModel, nearest_positive_definite
 from repro.stats.rng import SeedLike, as_generator
 
 _DEFAULT_MAX_REJECTION_ROUNDS = 200
+
+#: Tolerance of ``Generator.multivariate_normal``'s positive-semidefinite check.
+_PSD_TOL = 1e-8
 
 #: ``sqrt(2 pi)``, computed the way ``scipy.stats.norm`` computes it.
 _NORM_PDF_C = np.sqrt(2 * np.pi)
@@ -130,6 +137,12 @@ def sample_truncated_mvn(
     stalls.  The fallback is logged in the returned array only implicitly —
     callers that care can verify all coordinates are interior points.
 
+    Each rejection round draws ``mean + standard_normal((m, d)) @ factor.T``
+    with the factor of the projected covariance computed once: the formula
+    and the draws of ``Generator.multivariate_normal``, which would redo
+    the SVD every round.  This is :func:`sample_truncated_mvn_block` for
+    one generator.
+
     Parameters
     ----------
     model:
@@ -144,31 +157,75 @@ def sample_truncated_mvn(
     generator = as_generator(rng)
     if size == 0:
         return np.empty((0, model.dimension))
+    return sample_truncated_mvn_block(
+        model.mean, model.covariance[None], [generator], size, lower, upper, max_rejection_rounds
+    )[0]
 
-    covariance = nearest_positive_definite(model.covariance)
-    accepted = np.empty((0, model.dimension))
-    remaining = size
-    for _ in range(max_rejection_rounds):
-        if remaining <= 0:
-            break
-        batch = generator.multivariate_normal(model.mean, covariance, size=max(remaining * 2, 16))
-        in_box = np.all((batch > lower) & (batch < upper), axis=1)
-        good = batch[in_box]
-        if good.shape[0] > 0:
-            take = min(remaining, good.shape[0])
-            accepted = np.vstack([accepted, good[:take]])
-            remaining -= take
-    if remaining > 0:
-        # Acceptance region too small: clip the leftover draws.
-        batch = generator.multivariate_normal(model.mean, covariance, size=remaining)
-        eps = 1e-6
-        accepted = np.vstack([accepted, np.clip(batch, lower + eps, upper - eps)])
-    return accepted[:size]
+
+def _normal_factors(covariances: np.ndarray) -> np.ndarray:
+    """Sampling factors of a ``(B, d, d)`` covariance stack, as ``multivariate_normal`` builds them.
+
+    Each covariance is projected by :func:`nearest_positive_definite` and
+    factored the way ``Generator.multivariate_normal`` (method ``"svd"``)
+    factors it: ``u * sqrt(s)`` from its SVD, after the same
+    positive-semidefinite check, which warns as ``check_valid="warn"``
+    does.  The projection and the SVD are one stacked call each.
+    """
+    projected = nearest_positive_definite(covariances)
+    u, s, vh = np.linalg.svd(projected)
+    rebuilt = (np.swapaxes(vh, -1, -2) * s[..., None, :]) @ vh
+    if not np.isclose(rebuilt, projected, rtol=_PSD_TOL, atol=_PSD_TOL).all():
+        warnings.warn("covariance is not symmetric positive-semidefinite.", RuntimeWarning, stacklevel=3)
+    return u * np.sqrt(s)[..., None, :]
+
+
+def sample_truncated_mvn_block(
+    mean: np.ndarray,
+    covariances: np.ndarray,
+    generators: Sequence[np.random.Generator],
+    size: int,
+    lower: float = 0.0,
+    upper: float = 1.0,
+    max_rejection_rounds: int = _DEFAULT_MAX_REJECTION_ROUNDS,
+) -> np.ndarray:
+    """``size`` truncated draws per generator, each from its own covariance.
+
+    ``covariances`` is a ``(B, d, d)`` stack, one matrix per generator;
+    ``mean`` is shared.  The result is ``(B, size, d)``, and slice ``b`` equals
+    ``sample_truncated_mvn`` of the model ``(mean, covariances[b])`` with
+    ``generators[b]`` bit for bit, leaving that generator in the same
+    state.  Only the linear algebra is stacked (see
+    :func:`_normal_factors`); each generator draws its own rejection
+    rounds, ``mean + standard_normal((m, d)) @ factor.T`` as
+    ``multivariate_normal`` computes them.
+    """
+    if len(covariances) != len(generators):
+        raise ValueError(f"{len(covariances)} covariances for {len(generators)} generators")
+    mean = np.asarray(mean, dtype=float)
+    dimension = mean.shape[0]
+    samples = np.empty((len(generators), size, dimension))
+    for factor, generator, out in zip(_normal_factors(covariances), generators, samples):
+        transform = factor.T
+        filled = 0
+        for _ in range(max_rejection_rounds):
+            if filled == size:
+                break
+            batch = mean + generator.standard_normal((max((size - filled) * 2, 16), dimension)) @ transform
+            good = batch[np.all((batch > lower) & (batch < upper), axis=1)][: size - filled]
+            out[filled : filled + good.shape[0]] = good
+            filled += good.shape[0]
+        if filled < size:
+            # Acceptance region too small: clip the leftover draws.
+            batch = mean + generator.standard_normal((size - filled, dimension)) @ transform
+            eps = 1e-6
+            out[filled:] = np.clip(batch, lower + eps, upper - eps)
+    return samples
 
 
 __all__ = [
     "sample_truncated_normal",
     "sample_truncated_mvn",
+    "sample_truncated_mvn_block",
     "truncated_normal_mean",
     "truncated_normal_variance",
 ]

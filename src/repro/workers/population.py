@@ -28,9 +28,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.irt.rasch import logit
-from repro.stats.mvn import MultivariateNormalModel
+from repro.stats.mvn import MultivariateNormalModel, valid_correlations
 from repro.stats.rng import SeedLike, as_generator
-from repro.stats.truncated import sample_truncated_mvn
+from repro.stats.truncated import sample_truncated_mvn, sample_truncated_mvn_block
 from repro.workers.behavior import LearningWorker, WorkerBehavior
 from repro.workers.profile import WorkerProfile
 from repro.workers.registry import make_behavior, resolve_behavior_name
@@ -38,6 +38,8 @@ from repro.workers.registry import make_behavior, resolve_behavior_name
 _ACCURACY_EPS = 0.02  # keep sampled accuracies away from the {0, 1} boundary
 
 LEARNING_MODES = ("target_quality", "calibrated")
+
+_CORRELATION_TOL = 1e-12  # rounding allowed in a configured matrix's symmetry and diagonal
 
 
 @dataclass
@@ -155,6 +157,13 @@ class PopulationConfig:
         d = len(self.prior_domains)
         if len(self.prior_means) != d or len(self.prior_stds) != d:
             raise ValueError("prior_means/prior_stds must match the number of prior domains")
+        if self.correlations is not None:
+            _check_correlations(self.correlations, d + 1)
+        low, high = self.correlation_range
+        if not -1.0 <= low <= high <= 1.0:
+            raise ValueError(
+                f"correlation_range must satisfy -1 <= low <= high <= 1, got {self.correlation_range}"
+            )
         if not 0.0 < self.target_mean < 1.0:
             raise ValueError("target_mean must lie in (0, 1)")
         if self.target_std <= 0:
@@ -212,23 +221,50 @@ class PopulationConfig:
         """Prior domains followed by the target domain."""
         return [*self.prior_domains, self.target_domain]
 
-    def accuracy_model(self, rng: SeedLike = None) -> MultivariateNormalModel:
-        """The (untruncated) multivariate normal the accuracy vectors are drawn from."""
-        generator = as_generator(rng)
-        d = self.n_prior_domains + 1
+    def _moments(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Means and standard deviations of the accuracy vector, target domain last."""
         means = np.array([*self.prior_means, self.target_mean], dtype=float)
         stds = np.array([*self.prior_stds, self.target_std], dtype=float)
+        return means, stds
+
+    def _correlation_upper(self, generator: np.random.Generator) -> np.ndarray:
+        """Upper triangle of the correlation matrix: the configured one, or uniform draws."""
+        d = self.n_prior_domains + 1
         if self.correlations is not None:
             rho = np.asarray(self.correlations, dtype=float)
-            if rho.shape != (d, d):
-                raise ValueError(f"correlations must have shape ({d}, {d})")
-        else:
-            low, high = self.correlation_range
-            rho = np.eye(d)
-            upper = np.triu_indices(d, k=1)
-            rho[upper] = generator.uniform(low, high, size=len(upper[0]))
-            rho = rho + rho.T - np.eye(d)
+            return (0.5 * (rho + rho.T))[np.triu_indices(d, k=1)]
+        low, high = self.correlation_range
+        return generator.uniform(low, high, size=d * (d - 1) // 2)
+
+    def accuracy_model(self, rng: SeedLike = None) -> MultivariateNormalModel:
+        """The (untruncated) multivariate normal the accuracy vectors are drawn from."""
+        means, stds = self._moments()
+        d = means.shape[0]
+        rows, cols = np.triu_indices(d, k=1)
+        rho = np.eye(d)
+        rho[rows, cols] = rho[cols, rows] = self._correlation_upper(as_generator(rng))
         return MultivariateNormalModel.from_moments(means, stds, rho)
+
+
+def _check_correlations(correlations: object, dimension: int) -> None:
+    """Raise unless ``correlations`` is a ``dimension``-square correlation matrix.
+
+    Symmetry and the unit diagonal hold to ``1e-12``; off-diagonal entries
+    lie in ``[-1, 1]``.  Whether the matrix is positive definite is not
+    checked: an inconsistent matrix is projected to the nearest valid one
+    when the model is built, as randomly drawn correlations are.
+    """
+    rho = np.asarray(correlations, dtype=float)
+    if rho.shape != (dimension, dimension):
+        raise ValueError(f"correlations must have shape ({dimension}, {dimension}), got {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("correlations must be finite")
+    if not np.allclose(rho, rho.T, rtol=0.0, atol=_CORRELATION_TOL):
+        raise ValueError("correlations must be symmetric")
+    if not np.allclose(np.diag(rho), 1.0, rtol=0.0, atol=_CORRELATION_TOL):
+        raise ValueError("correlations must have a unit diagonal")
+    if np.any(np.abs(rho[~np.eye(dimension, dtype=bool)]) > 1.0):
+        raise ValueError("correlations must lie in [-1, 1]")
 
 
 def _target_quality_parameters(
@@ -398,6 +434,53 @@ def sample_learning_population(
     generator = as_generator(rng)
     model = config.accuracy_model(generator)
     samples = sample_truncated_mvn(model, size=n_workers, rng=generator, lower=0.0, upper=1.0)
+    return _workers_from_samples(config, samples, generator, id_prefix, id_offset)
+
+
+def sample_arrival_block(
+    config: PopulationConfig,
+    seeds: Sequence[SeedLike],
+    id_prefix: str = "worker",
+    id_offset: int = 0,
+) -> List[WorkerBehavior]:
+    """One worker per seed, each a one-worker pool of ``config``.
+
+    Worker ``i`` equals
+    ``sample_learning_population(config, 1, rng=seeds[i], id_prefix=id_prefix,
+    id_offset=id_offset + i)[0]`` bit for bit: every worker has its own
+    generator and draws in the same order (correlation uniforms, the
+    rejection rounds' normals, the learning-curve noise, then the
+    contamination draw).  Only the linear algebra is shared across the
+    block — one correlation check, one covariance projection and one SVD
+    for all of them (see
+    :func:`~repro.stats.truncated.sample_truncated_mvn_block`) — which is
+    most of a one-worker draw's cost.  The marketplace draws its arrivals
+    this way, a block of indices ahead.
+    """
+    if id_offset < 0:
+        raise ValueError(f"id_offset must be non-negative, got {id_offset}")
+    generators = [as_generator(seed) for seed in seeds]
+    # Every worker's model shares the mean and (clipped) sigma; only rho differs.
+    shared = MultivariateNormalModel.from_moments(*config._moments())
+    uppers = np.stack([config._correlation_upper(generator) for generator in generators])
+    rhos = valid_correlations(uppers, shared.dimension)
+    covariances = rhos * np.outer(shared.sigma, shared.sigma)
+    samples = sample_truncated_mvn_block(shared.mean, covariances, generators, 1)
+    return [
+        _workers_from_samples(config, sample, generator, id_prefix, id_offset + index)[0]
+        for index, (sample, generator) in enumerate(zip(samples, generators))
+    ]
+
+
+def _workers_from_samples(
+    config: PopulationConfig,
+    samples: np.ndarray,
+    generator: np.random.Generator,
+    id_prefix: str,
+    id_offset: int,
+) -> List[WorkerBehavior]:
+    """Workers built from ``(n, D+1)`` truncated accuracy draws (the rest of a pool draw)."""
+    n_workers = samples.shape[0]
     samples = np.clip(samples, _ACCURACY_EPS, 1.0 - _ACCURACY_EPS)
 
     prior_matrix = samples[:, : config.n_prior_domains]
@@ -435,4 +518,4 @@ def sample_learning_population(
     return workers
 
 
-__all__ = ["PopulationConfig", "sample_learning_population", "LEARNING_MODES"]
+__all__ = ["PopulationConfig", "sample_learning_population", "sample_arrival_block", "LEARNING_MODES"]

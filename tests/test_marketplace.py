@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -477,6 +477,37 @@ class TestOrchestrator:
         assert len(checked) == 80
         assert sum(campaign["reselections"] for campaign in report.campaigns) >= 1
         assert any(campaign["phase"] == "done" for campaign in report.campaigns)
+
+    def test_shared_capacity_matches_open_votes(self, monkeypatch):
+        # A shared arrival is one ServingWorker in every pool, so its
+        # in-flight count spans campaigns: after every tick it must equal
+        # the votes routed to it that are still open in any campaign's
+        # service, and stay within its concurrency cap.
+        orchestrator = stress_orchestrator()
+        tick = MarketplaceOrchestrator._tick
+        checked = []
+
+        def checked_tick(self, tick_index):
+            record = tick(self, tick_index)
+            open_votes = Counter()
+            for handle in self.handles:
+                if handle.service is None:
+                    continue
+                for pending in handle.service._pending.values():
+                    open_votes.update(w for w in pending.expected if w not in pending.answers)
+            busy_shared = 0
+            for worker_id, market_worker in self.marketplace.workers.items():
+                serving = market_worker.serving
+                assert 0 <= serving.active <= serving.max_concurrent, (tick_index, worker_id)
+                assert serving.active == open_votes[worker_id], (tick_index, worker_id)
+                busy_shared += market_worker.origin == "arrival" and serving.active > 0
+            checked.append(busy_shared)
+            return record
+
+        monkeypatch.setattr(MarketplaceOrchestrator, "_tick", checked_tick)
+        orchestrator.run(80)
+        assert len(checked) == 80
+        assert max(checked) > 0  # shared workers did hold open votes
 
     def test_requalification_credits_each_completion_once(self, monkeypatch):
         # A re-qualification adds the completions since the previous one on

@@ -14,11 +14,17 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.registry import get_spec
-from repro.marketplace.orchestrator import ARRIVAL_PREFIX, Marketplace, MarketplaceConfig, MarketWorker
+from repro.marketplace.orchestrator import (
+    ARRIVAL_BLOCK,
+    ARRIVAL_PREFIX,
+    Marketplace,
+    MarketplaceConfig,
+    MarketWorker,
+)
 from repro.platform.tasks import Task, TaskKind
 from repro.serving.pool import ServingWorker
 from repro.serving.qualification import QualificationTier
@@ -146,11 +152,22 @@ def test_batched_answer_equals_scalar_oracle(case):
         assert market.workers[worker_id].answer_counts.get(campaign, 0) == count
 
 
+@st.composite
+def arrival_counts(draw) -> List[int]:
+    """Per-tick arrival counts; often one tick over ``ARRIVAL_BLOCK``, which crosses a block boundary."""
+    counts = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        large = draw(st.integers(ARRIVAL_BLOCK + 1, ARRIVAL_BLOCK + 6))
+        counts.insert(draw(st.integers(0, len(counts))), large)
+    return counts
+
+
+@settings(deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    dataset=st.sampled_from(["S-1", "S-2", "S-1:drift40", "S-1:mixed20"]),
+    dataset=st.sampled_from(["S-1", "S-2", "S-1:drift40", "S-1:mixed20", "RW-1"]),
     questions=st.integers(1, 20),
-    arrivals=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+    arrivals=arrival_counts(),
 )
 def test_batched_prestudy_equals_per_arrival_scalar_form(seed, dataset, questions, arrivals):
     population = get_spec(dataset).population
@@ -184,5 +201,10 @@ def test_batched_prestudy_equals_per_arrival_scalar_form(seed, dataset, question
             }
             assert event["admitted"] == (gid in market.workers)
             if event["admitted"]:
-                accuracy = market.workers[gid].accuracies[population.target_domain]
-                assert accuracy == behavior.accuracy_at(float(questions))
+                admitted = market.workers[gid]
+                assert admitted.accuracies == {
+                    population.target_domain: behavior.accuracy_at(float(questions)),
+                    **behavior.profile.accuracies,
+                }
+                assert type(admitted.behavior) is type(behavior)
+                assert admitted.behavior.curve_params() == behavior.curve_params()

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats as sps
 
 from repro.stats import truncated
-from repro.stats.mvn import MultivariateNormalModel
+from repro.stats.mvn import MultivariateNormalModel, nearest_positive_definite
 from repro.stats.truncated import (
     sample_truncated_mvn,
     sample_truncated_normal,
@@ -75,6 +75,39 @@ class TestTruncatedMoments:
         assert truncated_normal_mean(0.5, 0.2, 0.0, 1.0) == pytest.approx(0.5, abs=1e-9)
 
 
+@st.composite
+def model_blocks(draw):
+    """1-5 models sharing one mean: inside, straddling or outside the unit box."""
+    dimension = draw(st.integers(2, 5))
+    mean = draw(hnp.arrays(float, dimension, elements=st.floats(-0.5, 1.5)))
+    models = []
+    for _ in range(draw(st.integers(1, 5))):
+        sigma = draw(hnp.arrays(float, dimension, elements=st.floats(0.01, 3.0)))
+        upper = draw(hnp.arrays(float, dimension * (dimension - 1) // 2, elements=st.floats(-1.0, 1.0)))
+        rho = np.eye(dimension)
+        rho[np.triu_indices(dimension, k=1)] = upper
+        models.append(MultivariateNormalModel.from_moments(mean, sigma, rho + np.triu(rho, k=1).T))
+    return models
+
+
+def multivariate_normal_rejection(model, size, generator, rounds):
+    """Rejection sampling over ``Generator.multivariate_normal`` (the sampler's specification)."""
+    covariance = nearest_positive_definite(model.covariance)
+    accepted = np.empty((0, model.dimension))
+    remaining = size
+    for _ in range(rounds):
+        if remaining <= 0:
+            break
+        batch = generator.multivariate_normal(model.mean, covariance, size=max(remaining * 2, 16))
+        good = batch[np.all((batch > 0.0) & (batch < 1.0), axis=1)][:remaining]
+        accepted = np.vstack([accepted, good])
+        remaining -= good.shape[0]
+    if remaining > 0:
+        batch = generator.multivariate_normal(model.mean, covariance, size=remaining)
+        accepted = np.vstack([accepted, np.clip(batch, 1e-6, 1.0 - 1e-6)])
+    return accepted
+
+
 class TestMultivariateSampling:
     def model(self) -> MultivariateNormalModel:
         return MultivariateNormalModel.from_moments(
@@ -109,6 +142,42 @@ class TestMultivariateSampling:
         model = MultivariateNormalModel.from_moments([5.0, 5.0], [0.1, 0.1])
         samples = sample_truncated_mvn(model, size=20, rng=0, max_rejection_rounds=2)
         assert np.all((samples > 0.0) & (samples < 1.0))
+
+    @given(models=model_blocks(), data=st.data())
+    def test_equals_multivariate_normal_rejection(self, models, data):
+        """Each draw equals the rejection loop over ``Generator.multivariate_normal``.
+
+        Same samples bit for bit, and the generator left in the same state,
+        whether the models are drawn one at a time or as one block.
+        """
+        size = data.draw(st.integers(1, 300))
+        rounds = data.draw(st.integers(1, 6))
+        seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(models), max_size=len(models)))
+        generators = [np.random.default_rng(seed) for seed in seeds]
+        block = truncated.sample_truncated_mvn_block(
+            models[0].mean,
+            np.stack([model.covariance for model in models]),
+            generators,
+            size,
+            max_rejection_rounds=rounds,
+        )
+        for model, seed, generator, drawn in zip(models, seeds, generators, block):
+            oracle = np.random.default_rng(seed)
+            single = np.random.default_rng(seed)
+            expected = multivariate_normal_rejection(model, size, oracle, rounds)
+            assert sample_truncated_mvn(model, size, rng=single, max_rejection_rounds=rounds).tobytes() == (
+                expected.tobytes()
+            )
+            assert drawn.tobytes() == expected.tobytes()
+            assert generator.bit_generator.state == oracle.bit_generator.state == single.bit_generator.state
+
+    def test_covariance_failing_the_psd_check_warns_like_multivariate_normal(self, monkeypatch):
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.warns(RuntimeWarning, match="positive-semidefinite"):
+            np.random.default_rng(0).multivariate_normal(np.zeros(2), indefinite)
+        monkeypatch.setattr(truncated, "nearest_positive_definite", lambda matrix: matrix)
+        with pytest.warns(RuntimeWarning, match="positive-semidefinite"):
+            truncated.sample_truncated_mvn_block(np.zeros(2), indefinite[None], [np.random.default_rng(0)], 1)
 
 
 def assert_bit_identical(ours, scipys):

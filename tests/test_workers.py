@@ -208,6 +208,36 @@ class TestPopulationSampling:
         model = config.accuracy_model(rng=0)
         assert model.rho[0, 3] == pytest.approx(0.9, abs=0.05)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rho: rho[:3, :3],  # wrong shape
+            lambda rho: np.where(np.eye(4, dtype=bool), 1.0, 0.3) + np.triu(np.full((4, 4), 0.1), k=1),
+            lambda rho: rho + np.eye(4),  # diagonal of 2
+            lambda rho: np.where(np.eye(4, dtype=bool), 1.0, 1.2),  # |rho| > 1
+            lambda rho: np.where(np.eye(4, dtype=bool), 1.0, np.nan),
+        ],
+        ids=["shape", "asymmetric", "diagonal", "beyond-one", "nan"],
+    )
+    def test_invalid_correlations_rejected_at_construction(self, edit):
+        with pytest.raises(ValueError, match="correlations"):
+            self.config(correlations=edit(np.eye(4)))
+
+    @pytest.mark.parametrize("bounds", [(0.5, 3.0), (0.9, 0.1), (-1.5, 0.0), (0.2, float("nan"))])
+    def test_invalid_correlation_range_rejected(self, bounds):
+        with pytest.raises(ValueError, match="correlation_range"):
+            self.config(correlation_range=bounds)
+
+    def test_valid_correlation_inputs_accepted_and_repr_kept(self):
+        rho = np.eye(4)
+        rho[0, 3] = rho[3, 0] = -1.0
+        rho[1, 2] = 0.4
+        rho[2, 1] = 0.4 + 1e-15  # rounding-level asymmetry
+        config = self.config(correlations=rho, correlation_range=(-1, 1))
+        assert config.correlations is rho
+        assert "correlation_range=(-1, 1)" in repr(config)
+        assert self.config(correlation_range=(0.3, 0.3)).correlation_range == (0.3, 0.3)
+
     def test_invalid_moments_rejected(self):
         with pytest.raises(ValueError):
             self.config(target_mean=1.5)
