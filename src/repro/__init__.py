@@ -89,7 +89,6 @@ from repro.core import (
     LGEConfig,
     LearningGainEstimator,
     SelectionResult,
-    SelectorRegistry,
     make_selector,
     median_eliminate,
     register_selector,
@@ -119,6 +118,7 @@ from repro.marketplace import (
     MarketplaceReport,
 )
 from repro.platform import AnnotationEnvironment, BudgetSchedule, compute_budget
+from repro.registry import Registry
 from repro.serving import (
     AnnotationService,
     DriftConfig,
@@ -151,7 +151,7 @@ from repro.workers import (
     register_behavior,
 )
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "__version__",
@@ -159,8 +159,8 @@ __all__ = [
     "Campaign",
     "CampaignEvent",
     "CampaignReport",
-    # Selector registry
-    "SelectorRegistry",
+    # Plug-in registries
+    "Registry",
     "register_selector",
     "make_selector",
     "selector_names",

@@ -35,8 +35,8 @@ Intentional violations are waived at the site with a mandatory reason
 
     # repro: allow-file[D002] -- the single blessed wall-clock site
 
-Custom rules plug in through the registry, mirroring
-:mod:`repro.core.registry`::
+Custom rules plug in through the rule registry, one instance of the shared
+:class:`~repro.registry.Registry`::
 
     from repro.analysis import BaseRule, register_rule
 
@@ -53,7 +53,6 @@ from repro.analysis.findings import Finding, FindingCounts, Severity
 from repro.analysis.pragmas import Pragma, SuppressionSet, parse_suppressions
 from repro.analysis.registry import (
     GLOBAL_RULE_REGISTRY,
-    RuleRegistry,
     all_rules,
     describe_rule,
     make_rule,
@@ -68,6 +67,7 @@ from repro.analysis.reporters import (
     format_text,
     report_payload,
 )
+from repro.registry import Registry
 
 __all__ = [
     # model
@@ -76,7 +76,7 @@ __all__ = [
     "Severity",
     # rules + registry
     "BaseRule",
-    "RuleRegistry",
+    "Registry",
     "GLOBAL_RULE_REGISTRY",
     "register_rule",
     "make_rule",

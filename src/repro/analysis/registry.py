@@ -1,10 +1,11 @@
 """Rule registry: look up any analysis rule by id or name.
 
-Mirrors :mod:`repro.core.registry` for the *static-analysis* axis: every
-rule class registers itself under its canonical id (``D001``, ``C002``, …)
-plus a human-readable alias (``global-rng``, ``router-contract``), so the
-CLI, the pragma parser and the test suite all resolve rules through one
-case-insensitive lookup with friendly unknown-rule errors:
+The *static-analysis* axis, on the shared :class:`~repro.registry.Registry`:
+every rule class registers itself under its canonical id (``D001``,
+``C002``, …) plus a human-readable alias (``global-rng``,
+``router-contract``), so the CLI, the pragma parser and the test suite all
+resolve rules through one case-insensitive lookup with friendly
+unknown-rule errors:
 
 >>> from repro.analysis.registry import make_rule, resolve_rule_name
 >>> resolve_rule_name("unsorted-json")
@@ -25,133 +26,27 @@ Registering a custom rule is one decorator:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Type
+from typing import Iterable, List, Optional, Type
 
 from repro.analysis.base import BaseRule
+from repro.registry import Registry
 
 #: A rule registration target: the rule class itself (instantiated lazily).
 RuleClass = Type[BaseRule]
 
 
-class RuleRegistry:
-    """An id -> rule-class mapping with aliases and friendly errors."""
-
-    def __init__(self) -> None:
-        self._rules: Dict[str, RuleClass] = {}
-        self._aliases: Dict[str, str] = {}
-
-    # ------------------------------------------------------------------ #
-    # Registration
-    # ------------------------------------------------------------------ #
-    def register(
-        self,
-        rule: Optional[RuleClass] = None,
-        *,
-        aliases: Iterable[str] = (),
-        replace: bool = False,
-    ):
-        """Register a rule class (usable bare: ``@register_rule``).
-
-        The canonical key is ``rule.rule_id``; ``rule.name`` and any extra
-        ``aliases`` become lookup aliases.  Duplicate ids raise unless
-        ``replace=True`` — silently shadowing a shipped rule would defeat
-        the lint gate.
-        """
-
-        def _register(target: RuleClass) -> RuleClass:
-            canonical = self._canonical(target.rule_id)
-            if not canonical:
-                raise ValueError(f"rule class {target.__name__} has an empty rule_id")
-            if not replace and (canonical in self._rules or canonical in self._aliases):
-                raise ValueError(
-                    f"rule {target.rule_id!r} is already registered (pass replace=True to override)"
-                )
-            self._aliases.pop(canonical, None)
-            self._rules[canonical] = target
-            for alias in [target.name, *aliases]:
-                alias_key = self._canonical(alias)
-                if not alias_key or alias_key == canonical:
-                    continue
-                if alias_key in self._rules:
-                    raise ValueError(
-                        f"alias {alias_key!r} collides with the registered rule {alias_key!r}; "
-                        f"re-register that rule instead"
-                    )
-                existing = self._aliases.get(alias_key)
-                if not replace and existing is not None and existing != canonical:
-                    raise ValueError(f"alias {alias_key!r} already points at rule {existing!r}")
-                self._aliases[alias_key] = canonical
-            return target
-
-        if rule is not None:
-            return _register(rule)
-        return _register
-
-    def unregister(self, name: str) -> None:
-        """Remove a registration and every alias pointing at it."""
-        canonical = self._canonical(self.resolve(name))
-        del self._rules[canonical]
-        for alias in [a for a, target in self._aliases.items() if target == canonical]:
-            del self._aliases[alias]
-
-    # ------------------------------------------------------------------ #
-    # Lookup
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _canonical(name: str) -> str:
-        return name.strip().lower()
-
-    def resolve(self, name: str) -> str:
-        """Canonical rule id for ``name`` (follows aliases); KeyError if unknown."""
-        key = self._canonical(name)
-        key = self._aliases.get(key, key)
-        if key not in self._rules:
-            raise KeyError(f"unknown rule {name!r}; registered rules: {', '.join(self.names())}")
-        return self._rules[key].rule_id
-
-    def __contains__(self, name: str) -> bool:
-        key = self._canonical(name)
-        return self._aliases.get(key, key) in self._rules
-
-    def names(self) -> List[str]:
-        """Canonical ids of every registered rule, sorted."""
-        return sorted(self._rules[key].rule_id for key in self._rules)
-
-    def describe(self, name: str) -> str:
-        """One-line human-readable description: id, name, severity, summary."""
-        rule = self._rules[self._canonical(self.resolve(name))]
-        return f"{rule.rule_id} ({rule.name}) [{rule.severity}] — {rule.description}"
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-    def create(self, name: str) -> BaseRule:
-        """Instantiate the rule registered under ``name`` (id or alias)."""
-        return self._rules[self._canonical(self.resolve(name))]()
-
-    def create_all(self) -> List[BaseRule]:
-        """One instance of every registered rule, ordered by rule id."""
-        return [self._rules[self._canonical(rule_id)]() for rule_id in self.names()]
-
-
-#: The process-wide registry used by :func:`make_rule` and the engine.
-GLOBAL_RULE_REGISTRY = RuleRegistry()
-
-_BUILTINS_LOADED = False
-
-
 def _load_builtin_rules() -> None:
     """Import the modules whose import side effect registers the rule pack."""
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
     import repro.analysis.pragmas  # noqa: F401  (registers P001, P002)
     import repro.analysis.rules_contracts  # noqa: F401  (registers C001-C004)
     import repro.analysis.rules_determinism  # noqa: F401  (registers D001-D005)
     import repro.analysis.rules_observability  # noqa: F401  (registers O001)
     import repro.analysis.rules_safety  # noqa: F401  (registers E001, S001, S002)
 
-    _BUILTINS_LOADED = True
+
+#: The process-wide registry used by :func:`make_rule` and the engine.
+#: Ids are stored upper-case, so ``resolve`` returns the display id itself.
+GLOBAL_RULE_REGISTRY = Registry("rule", str.upper, _load_builtin_rules)
 
 
 def register_rule(
@@ -160,49 +55,60 @@ def register_rule(
     aliases: Iterable[str] = (),
     replace: bool = False,
 ):
-    """Register a rule class in the global registry (decorator-friendly)."""
-    return GLOBAL_RULE_REGISTRY.register(rule, aliases=aliases, replace=replace)
+    """Register a rule class in the global registry (usable bare: ``@register_rule``).
+
+    The canonical key is ``rule.rule_id`` (upper-case, e.g. ``"D003"``);
+    ``rule.name`` and any extra ``aliases`` become lookup aliases.
+    Duplicate ids raise unless ``replace=True`` — silently shadowing a
+    shipped rule would defeat the lint gate.
+    """
+
+    def _register(target: RuleClass) -> RuleClass:
+        if target.rule_id != target.rule_id.strip().upper():
+            # Findings carry rule_id as written; lookups return the stored form.
+            raise ValueError(f"rule id {target.rule_id!r} must be upper-case")
+        return GLOBAL_RULE_REGISTRY.register(
+            target.rule_id, target, aliases=(target.name, *aliases), replace=replace
+        )
+
+    if rule is not None:
+        return _register(rule)
+    return _register
 
 
 def make_rule(name: str) -> BaseRule:
     """Instantiate a registered rule by id or alias (case-insensitive)."""
-    _load_builtin_rules()
     return GLOBAL_RULE_REGISTRY.create(name)
 
 
 def rule_names() -> List[str]:
     """Canonical ids of every registered rule."""
-    _load_builtin_rules()
     return GLOBAL_RULE_REGISTRY.names()
 
 
 def rule_exists(name: str) -> bool:
     """Whether ``name`` (an id or an alias of one) is registered."""
-    _load_builtin_rules()
     return name in GLOBAL_RULE_REGISTRY
 
 
 def resolve_rule_name(name: str) -> str:
     """Canonical registered id for ``name`` (follows aliases, fixes case)."""
-    _load_builtin_rules()
     return GLOBAL_RULE_REGISTRY.resolve(name)
 
 
 def describe_rule(name: str) -> str:
-    """Human-readable one-liner for a registered rule."""
-    _load_builtin_rules()
-    return GLOBAL_RULE_REGISTRY.describe(name)
+    """Human-readable one-liner for a registered rule: id, name, severity, summary."""
+    rule = GLOBAL_RULE_REGISTRY[name]
+    return f"{rule.rule_id} ({rule.name}) [{rule.severity}] — {rule.description}"
 
 
 def all_rules() -> List[BaseRule]:
     """One instance of every registered rule, ordered by rule id."""
-    _load_builtin_rules()
-    return GLOBAL_RULE_REGISTRY.create_all()
+    return [make_rule(rule_id) for rule_id in rule_names()]
 
 
 __all__ = [
     "RuleClass",
-    "RuleRegistry",
     "GLOBAL_RULE_REGISTRY",
     "register_rule",
     "make_rule",

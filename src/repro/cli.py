@@ -54,19 +54,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
-from repro.analysis import rule_exists, rule_names
+from repro.analysis import resolve_rule_name, rule_names
 from repro.campaign import Campaign
 from repro.config import ExperimentConfig
-from repro.core.registry import selector_exists, selector_names
+from repro.core.registry import resolve_selector_name, selector_names
 from repro.datasets.registry import (
     DATASET_NAMES,
     SCENARIO_RECIPES,
     SCENARIO_SEPARATOR,
     parse_scenario,
 )
-from repro.serving.routing import router_exists, router_names
+from repro.serving.routing import resolve_router_name, router_names
 from repro.workers.registry import behavior_names, describe_behavior
 
 # ``repro-crowd serve`` exits with this status (not 0) when the drift
@@ -124,31 +124,17 @@ def _apply_scenario(dataset: str, scenario: Optional[str]) -> str:
     return f"{dataset}{SCENARIO_SEPARATOR}{scenario}"
 
 
-def _selector_name(value: str) -> str:
-    """Argparse type: validate a selector name against the registry."""
-    if not selector_exists(value):
-        raise argparse.ArgumentTypeError(
-            f"unknown selector {value!r}; registered selectors: {', '.join(selector_names())}"
-        )
-    return value.strip().lower()
+def _registered(resolve: Callable[[str], str]) -> Callable[[str], str]:
+    """Argparse type: accept the names ``resolve`` knows, with its unknown-name message."""
 
+    def _name(value: str) -> str:
+        try:
+            resolve(value)
+        except KeyError as exc:
+            raise argparse.ArgumentTypeError(exc.args[0])
+        return value.strip().lower()
 
-def _router_name(value: str) -> str:
-    """Argparse type: validate a routing-policy name against the registry."""
-    if not router_exists(value):
-        raise argparse.ArgumentTypeError(
-            f"unknown router {value!r}; registered routers: {', '.join(router_names())}"
-        )
-    return value.strip().lower()
-
-
-def _rule_name(value: str) -> str:
-    """Argparse type: validate a lint-rule id/alias against the rule registry."""
-    if not rule_exists(value):
-        raise argparse.ArgumentTypeError(
-            f"unknown rule {value!r}; registered rules: {', '.join(rule_names())}"
-        )
-    return value.strip().lower()
+    return _name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiments_parser.add_argument(
         "--methods",
         nargs="+",
-        type=_selector_name,
+        type=_registered(resolve_selector_name),
         default=None,
         metavar="NAME",
         help=f"methods to run (default: the Table V roster); choices: {', '.join(selector_names())}",
@@ -272,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     robustness_parser.add_argument(
         "--methods",
         nargs="+",
-        type=_selector_name,
+        type=_registered(resolve_selector_name),
         default=None,
         metavar="NAME",
         help="methods to run (default: the Table V roster)",
@@ -340,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument(
         "--rules",
         nargs="+",
-        type=_rule_name,
+        type=_registered(resolve_rule_name),
         default=None,
         metavar="RULE",
         help="run only these rules (ids or aliases, case-insensitive)",
@@ -379,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--dataset", type=_dataset_name, default="S-1", help="dataset name (default S-1)")
     run_parser.add_argument(
         "--selector",
-        type=_selector_name,
+        type=_registered(resolve_selector_name),
         default="ours",
         help=f"registered selector (default 'ours'); choices: {', '.join(selector_names())}",
     )
@@ -419,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--dataset", type=_dataset_name, default="S-1", help="dataset name (default S-1)")
     serve_parser.add_argument(
         "--selector",
-        type=_selector_name,
+        type=_registered(resolve_selector_name),
         default="ours",
         help=f"registered selector (default 'ours'); choices: {', '.join(selector_names())}",
     )
@@ -434,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--router",
-        type=_router_name,
+        type=_registered(resolve_router_name),
         default="domain_affinity",
         help=f"routing policy (default 'domain_affinity'); choices: {', '.join(router_names())}",
     )
@@ -495,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     marketplace_parser.add_argument(
         "--selector",
-        type=_selector_name,
+        type=_registered(resolve_selector_name),
         default="us",
         help=f"selector used by every campaign (default 'us'); choices: {', '.join(selector_names())}",
     )
@@ -519,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     marketplace_parser.add_argument(
         "--router",
-        type=_router_name,
+        type=_registered(resolve_router_name),
         default="least_loaded",
         help=f"routing policy shared by every campaign (default 'least_loaded'); choices: {', '.join(router_names())}",
     )
@@ -920,7 +906,7 @@ def _list_metrics(args: argparse.Namespace) -> int:
 
 def _run_lint(args: argparse.Namespace) -> int:
     """The ``repro-crowd lint`` subcommand: the determinism & contract gate."""
-    from repro.analysis import analyze, describe_rule, format_json, format_text, resolve_rule_name
+    from repro.analysis import analyze, describe_rule, format_json, format_text
 
     if args.list_rules:
         for rule_id in rule_names():

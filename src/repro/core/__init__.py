@@ -32,7 +32,6 @@ from repro.core.elimination import median_eliminate
 from repro.core.lge import LGEConfig, LearningGainEstimator
 from repro.core.pipeline import CrossDomainWorkerSelector, RoundDiagnostics
 from repro.core.registry import (
-    SelectorRegistry,
     describe_selector,
     make_selector,
     register_selector,
@@ -40,12 +39,13 @@ from repro.core.registry import (
     selector_names,
 )
 from repro.core.selector import BaseWorkerSelector, SelectionResult, run_stepwise
+from repro.registry import Registry
 
 __all__ = [
     "BaseWorkerSelector",
     "SelectionResult",
     "run_stepwise",
-    "SelectorRegistry",
+    "Registry",
     "register_selector",
     "make_selector",
     "selector_names",

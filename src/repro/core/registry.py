@@ -1,10 +1,10 @@
 """Selector registry: construct any worker-selection strategy by name.
 
-Mirrors :mod:`repro.datasets.registry` for the *method* axis of the paper's
-evaluation grid.  Every selector — the proposed pipeline, its ablations and
-all baselines — registers a keyword-configurable factory under a canonical
-name (plus optional aliases), so new strategies plug in without touching
-core configuration code:
+The *method* axis of the paper's evaluation grid, on the shared
+:class:`~repro.registry.Registry`.  Every selector — the proposed pipeline,
+its ablations and all baselines — registers a keyword-configurable factory
+under a canonical name (plus optional aliases), so new strategies plug in
+without touching core configuration code:
 
 >>> from repro.core.registry import make_selector, register_selector
 >>> selector = make_selector("ours", seed=3, target_initial_accuracy=0.6)
@@ -26,177 +26,23 @@ everything registered.
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from repro.core.selector import BaseWorkerSelector
+from repro.registry import Registry
 
 #: A selector factory: keyword configuration in, ready-to-run selector out.
 SelectorFactory = Callable[..., BaseWorkerSelector]
 
 
-class SelectorRegistry:
-    """A name -> factory mapping with aliases and friendly errors."""
-
-    def __init__(self) -> None:
-        self._factories: Dict[str, SelectorFactory] = {}
-        self._aliases: Dict[str, str] = {}
-
-    # ------------------------------------------------------------------ #
-    # Registration
-    # ------------------------------------------------------------------ #
-    def register(
-        self,
-        name: str,
-        factory: Optional[SelectorFactory] = None,
-        *,
-        aliases: Iterable[str] = (),
-        replace: bool = False,
-    ):
-        """Register ``factory`` under ``name`` (usable as a decorator).
-
-        Parameters
-        ----------
-        name:
-            Canonical selector name (stored lowercased).
-        factory:
-            The factory callable; when omitted the method returns a
-            decorator, enabling ``@register_selector("ours")``.
-        aliases:
-            Additional lookup names resolving to the same factory.
-        replace:
-            Allow overwriting an existing registration (default: raise).
-        """
-
-        def _register(target: SelectorFactory) -> SelectorFactory:
-            canonical = self._canonical(name)
-            if not replace:
-                if canonical in self._factories:
-                    raise ValueError(
-                        f"selector {canonical!r} is already registered (pass replace=True to override)"
-                    )
-                if canonical in self._aliases:
-                    raise ValueError(
-                        f"{canonical!r} is already an alias of selector {self._aliases[canonical]!r} "
-                        f"(pass replace=True to claim the name)"
-                    )
-            # A (replacing) canonical registration wins over a stale alias;
-            # otherwise the alias would keep shadowing the new factory.
-            self._aliases.pop(canonical, None)
-            self._factories[canonical] = target
-            for alias in aliases:
-                alias_key = self._canonical(alias)
-                if alias_key == canonical:
-                    continue
-                if alias_key in self._factories:
-                    # Aliases resolve before canonical names, so this would
-                    # silently hijack a registered selector — never allowed.
-                    raise ValueError(
-                        f"alias {alias_key!r} collides with the registered selector {alias_key!r}; "
-                        f"re-register that selector instead"
-                    )
-                existing = self._aliases.get(alias_key)
-                if not replace and existing is not None and existing != canonical:
-                    raise ValueError(f"alias {alias_key!r} already points at selector {existing!r}")
-                self._aliases[alias_key] = canonical
-            return target
-
-        if factory is not None:
-            return _register(factory)
-        return _register
-
-    def unregister(self, name: str) -> None:
-        """Remove a registration and every alias pointing at it."""
-        canonical = self.resolve(name)
-        del self._factories[canonical]
-        for alias in [a for a, target in self._aliases.items() if target == canonical]:
-            del self._aliases[alias]
-
-    # ------------------------------------------------------------------ #
-    # Lookup
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _canonical(name: str) -> str:
-        return name.strip().lower()
-
-    def resolve(self, name: str) -> str:
-        """Canonical name for ``name`` (follows aliases); KeyError if unknown."""
-        key = self._canonical(name)
-        key = self._aliases.get(key, key)
-        if key not in self._factories:
-            raise KeyError(f"unknown selector {name!r}; registered selectors: {', '.join(self.names())}")
-        return key
-
-    def __contains__(self, name: str) -> bool:
-        key = self._canonical(name)
-        return self._aliases.get(key, key) in self._factories
-
-    def names(self) -> List[str]:
-        """Canonical names of every registered selector, sorted."""
-        return sorted(self._factories)
-
-    def describe(self, name: str) -> str:
-        """One-line human-readable description: name, signature, docstring."""
-        canonical = self.resolve(name)
-        factory = self._factories[canonical]
-        doc = (inspect.getdoc(factory) or "").split("\n", 1)[0]
-        return f"{canonical}{inspect.signature(factory)} — {doc}" if doc else f"{canonical}{inspect.signature(factory)}"
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-    def create(
-        self,
-        name: str,
-        *,
-        ignore_unsupported: bool = False,
-        **config: object,
-    ) -> BaseWorkerSelector:
-        """Build the selector registered under ``name`` with keyword config.
-
-        Parameters
-        ----------
-        name:
-            Registered selector name or alias (case-insensitive).
-        ignore_unsupported:
-            When ``True``, silently drop configuration keys the factory does
-            not accept.  Used by harness code that broadcasts shared knobs
-            (e.g. ``target_initial_accuracy``) over heterogeneous rosters;
-            direct API users should keep the strict default so typos fail.
-        config:
-            Keyword configuration forwarded to the factory (``seed=...`` by
-            convention selects the random stream).
-        """
-        canonical = self.resolve(name)
-        factory = self._factories[canonical]
-        if ignore_unsupported:
-            parameters = inspect.signature(factory).parameters
-            takes_kwargs = any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values())
-            if not takes_kwargs:
-                config = {key: value for key, value in config.items() if key in parameters}
-        try:
-            return factory(**config)
-        except TypeError as exc:
-            raise TypeError(
-                f"invalid configuration for selector {canonical!r}: {exc} "
-                f"(signature: {canonical}{inspect.signature(factory)})"
-            ) from exc
-
-
-#: The process-wide registry used by :func:`make_selector` and the harness.
-GLOBAL_SELECTOR_REGISTRY = SelectorRegistry()
-
-_BUILTINS_LOADED = False
-
-
 def _load_builtin_selectors() -> None:
     """Import the modules whose import side effect registers the built-ins."""
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
     import repro.baselines  # noqa: F401  (registers us, me, li, me-cpe, ours, random, oracle)
     import repro.core.pipeline  # noqa: F401  (registers cross-domain)
 
-    _BUILTINS_LOADED = True
+
+#: The process-wide registry used by :func:`make_selector` and the harness.
+GLOBAL_SELECTOR_REGISTRY = Registry("selector", str.lower, _load_builtin_selectors)
 
 
 def register_selector(
@@ -213,40 +59,43 @@ def register_selector(
 def make_selector(name: str, *, ignore_unsupported: bool = False, **config: object) -> BaseWorkerSelector:
     """Construct a registered selector by name with keyword configuration.
 
+    ``ignore_unsupported=True`` silently drops configuration keys the
+    factory does not accept.  Harness code that broadcasts shared knobs
+    (e.g. ``target_initial_accuracy``) over heterogeneous rosters uses it;
+    direct API users should keep the strict default so typos fail.
+
     >>> make_selector("me", seed=7).name
     'me'
     """
-    _load_builtin_selectors()
-    return GLOBAL_SELECTOR_REGISTRY.create(name, ignore_unsupported=ignore_unsupported, **config)
+    if ignore_unsupported:
+        parameters = inspect.signature(GLOBAL_SELECTOR_REGISTRY[name]).parameters
+        if not any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
+            config = {key: value for key, value in config.items() if key in parameters}
+    return GLOBAL_SELECTOR_REGISTRY.create(name, **config)
 
 
 def selector_names() -> List[str]:
     """Canonical names of every registered selector."""
-    _load_builtin_selectors()
     return GLOBAL_SELECTOR_REGISTRY.names()
 
 
 def selector_exists(name: str) -> bool:
     """Whether ``name`` (or an alias of it) is registered."""
-    _load_builtin_selectors()
     return name in GLOBAL_SELECTOR_REGISTRY
 
 
 def resolve_selector_name(name: str) -> str:
     """Canonical registered name for ``name`` (follows aliases, fixes case)."""
-    _load_builtin_selectors()
     return GLOBAL_SELECTOR_REGISTRY.resolve(name)
 
 
 def describe_selector(name: str) -> str:
     """Human-readable signature line for a registered selector."""
-    _load_builtin_selectors()
     return GLOBAL_SELECTOR_REGISTRY.describe(name)
 
 
 __all__ = [
     "SelectorFactory",
-    "SelectorRegistry",
     "GLOBAL_SELECTOR_REGISTRY",
     "register_selector",
     "make_selector",

@@ -37,7 +37,6 @@ from repro.serving.quality import DriftConfig, DriftEvent, QualityTracker
 from repro.serving.routing import (
     BaseRouter,
     NoEligibleWorkersError,
-    RouterRegistry,
     make_router,
     register_router,
     resolve_router_name,
@@ -68,7 +67,6 @@ __all__ = [
     "QualificationPolicy",
     "QualificationTier",
     "QualityTracker",
-    "RouterRegistry",
     "ServingConfig",
     "ServingPool",
     "ServingReport",

@@ -1,9 +1,9 @@
 """Routing policies: which workers annotate the next working task.
 
-Mirrors the selector registry (:mod:`repro.core.registry`) for the serving
-axis: every policy registers a keyword-configurable factory under a
-canonical name, so deployments choose a policy by string and new policies
-plug in with one decorator:
+The serving axis of the shared :class:`~repro.registry.Registry`: every
+policy registers a keyword-configurable factory under a canonical name, so
+deployments choose a policy by string and new policies plug in with one
+decorator:
 
 >>> from repro.serving.routing import make_router, register_router
 
@@ -40,10 +40,10 @@ from __future__ import annotations
 
 import abc
 import heapq
-import inspect
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.obs.timing import perf_counter
+from repro.registry import Registry
 from repro.serving.index import DomainIndexSet
 from repro.serving.pool import ServingPool, ServingWorker, pool_event_noop
 from repro.serving.qualification import QualificationTier, affinity_rank_key
@@ -236,90 +236,19 @@ class BaseRouter(abc.ABC):
 
 
 # ---------------------------------------------------------------------- #
-# Registry (the core/registry.py pattern, on the routing axis)
+# Registry
 # ---------------------------------------------------------------------- #
 #: A router factory: a serving pool plus keyword configuration in, policy out.
 RouterFactory = Callable[..., BaseRouter]
 
 
-class RouterRegistry:
-    """A name -> factory mapping with aliases and friendly errors."""
-
-    def __init__(self) -> None:
-        self._factories: Dict[str, RouterFactory] = {}
-        self._aliases: Dict[str, str] = {}
-
-    @staticmethod
-    def _canonical(name: str) -> str:
-        return name.strip().lower().replace("-", "_")
-
-    def register(
-        self,
-        name: str,
-        factory: Optional[RouterFactory] = None,
-        *,
-        aliases: Iterable[str] = (),
-        replace: bool = False,
-    ):
-        """Register ``factory`` under ``name`` (usable as a decorator)."""
-
-        def _register(target: RouterFactory) -> RouterFactory:
-            canonical = self._canonical(name)
-            if not replace and (canonical in self._factories or canonical in self._aliases):
-                raise ValueError(
-                    f"router {canonical!r} is already registered (pass replace=True to override)"
-                )
-            self._aliases.pop(canonical, None)
-            self._factories[canonical] = target
-            for alias in aliases:
-                alias_key = self._canonical(alias)
-                if alias_key == canonical:
-                    continue
-                if alias_key in self._factories:
-                    raise ValueError(
-                        f"alias {alias_key!r} collides with the registered router {alias_key!r}"
-                    )
-                existing = self._aliases.get(alias_key)
-                if not replace and existing is not None and existing != canonical:
-                    raise ValueError(f"alias {alias_key!r} already points at router {existing!r}")
-                self._aliases[alias_key] = canonical
-            return target
-
-        if factory is not None:
-            return _register(factory)
-        return _register
-
-    def resolve(self, name: str) -> str:
-        """Canonical name for ``name`` (follows aliases); KeyError if unknown."""
-        key = self._canonical(name)
-        key = self._aliases.get(key, key)
-        if key not in self._factories:
-            raise KeyError(f"unknown router {name!r}; registered routers: {', '.join(self.names())}")
-        return key
-
-    def __contains__(self, name: str) -> bool:
-        key = self._canonical(name)
-        return self._aliases.get(key, key) in self._factories
-
-    def names(self) -> List[str]:
-        """Canonical names of every registered router, sorted."""
-        return sorted(self._factories)
-
-    def create(self, name: str, pool: ServingPool, **config: object) -> BaseRouter:
-        """Build the router registered under ``name`` for ``pool``."""
-        canonical = self.resolve(name)
-        factory = self._factories[canonical]
-        try:
-            return factory(pool, **config)
-        except TypeError as exc:
-            raise TypeError(
-                f"invalid configuration for router {canonical!r}: {exc} "
-                f"(signature: {canonical}{inspect.signature(factory)})"
-            ) from exc
+def _router_key(name: str) -> str:
+    """Routers are stored lower-case with ``-`` spelled ``_``."""
+    return name.lower().replace("-", "_")
 
 
 #: The process-wide registry used by :func:`make_router` and the CLI.
-GLOBAL_ROUTER_REGISTRY = RouterRegistry()
+GLOBAL_ROUTER_REGISTRY = Registry("router", _router_key)
 
 
 def register_router(
@@ -622,7 +551,6 @@ register_router("domain_affinity", DomainAffinityRouter, aliases=("affinity",))
 __all__ = [
     "BaseRouter",
     "RouterFactory",
-    "RouterRegistry",
     "GLOBAL_ROUTER_REGISTRY",
     "NoEligibleWorkersError",
     "RoundRobinRouter",

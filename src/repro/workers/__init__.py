@@ -12,7 +12,7 @@ observations:
   (spammer, adversarial, fatigue, sleeper, drifter) that stress-test
   selection against realistic crowd pools;
 * :mod:`repro.workers.registry` — ``@register_behavior`` / ``make_behavior``:
-  construct any behaviour by name (mirrors the selector registry);
+  construct any behaviour by name (a shared :class:`~repro.registry.Registry`);
 * :mod:`repro.workers.population` — samplers that draw whole worker
   populations from a truncated multivariate normal over per-domain
   accuracies (Section V-A), optionally contaminated via a behaviour mix;

@@ -157,6 +157,8 @@ class PopulationConfig:
         d = len(self.prior_domains)
         if len(self.prior_means) != d or len(self.prior_stds) != d:
             raise ValueError("prior_means/prior_stds must match the number of prior domains")
+        if not all(std > 0 for std in self.prior_stds):
+            raise ValueError(f"prior_stds must be positive, got {tuple(self.prior_stds)}")
         if self.correlations is not None:
             _check_correlations(self.correlations, d + 1)
         low, high = self.correlation_range

@@ -1,11 +1,12 @@
 """Behavior registry: construct any worker behaviour by name.
 
-Mirrors :mod:`repro.core.registry` for the *worker-behaviour* axis of the
-simulation: every behaviour — the paper's static/learning workers and the
-contamination behaviours (spammer, adversarial, fatigue, sleeper, drifter)
-— registers a keyword-configurable factory under a canonical name (plus
-optional aliases), so new behaviours plug into population mixes, scenario
-presets and the CLI without touching core code:
+The *worker-behaviour* axis of the simulation, on the shared
+:class:`~repro.registry.Registry`: every behaviour — the paper's
+static/learning workers and the contamination behaviours (spammer,
+adversarial, fatigue, sleeper, drifter) — registers a keyword-configurable
+factory under a canonical name (plus optional aliases), so new behaviours
+plug into population mixes, scenario presets and the CLI without touching
+core code:
 
 >>> from repro.workers.registry import make_behavior
 >>> from repro.workers.profile import WorkerProfile
@@ -27,144 +28,30 @@ unknown names raise a :class:`KeyError` that lists everything registered.
 
 from __future__ import annotations
 
-import inspect
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
+from repro.registry import Registry
 from repro.workers.profile import WorkerProfile
 
 #: A behaviour factory: profile + keyword configuration in, behaviour out.
 BehaviorFactory = Callable[..., "object"]
 
 
-class BehaviorRegistry:
-    """A name -> factory mapping with aliases and friendly errors."""
+def _load_builtin_behaviors() -> None:
+    """Register the built-in behaviour classes."""
+    from repro.workers import behavior as b
 
-    def __init__(self) -> None:
-        self._factories: Dict[str, BehaviorFactory] = {}
-        self._aliases: Dict[str, str] = {}
-
-    # ------------------------------------------------------------------ #
-    # Registration
-    # ------------------------------------------------------------------ #
-    def register(
-        self,
-        name: str,
-        factory: Optional[BehaviorFactory] = None,
-        *,
-        aliases: Iterable[str] = (),
-        replace: bool = False,
-    ):
-        """Register ``factory`` under ``name`` (usable as a decorator)."""
-
-        def _register(target: BehaviorFactory) -> BehaviorFactory:
-            canonical = self._canonical(name)
-            if not replace:
-                if canonical in self._factories:
-                    raise ValueError(
-                        f"behavior {canonical!r} is already registered (pass replace=True to override)"
-                    )
-                if canonical in self._aliases:
-                    raise ValueError(
-                        f"{canonical!r} is already an alias of behavior {self._aliases[canonical]!r} "
-                        f"(pass replace=True to claim the name)"
-                    )
-            self._aliases.pop(canonical, None)
-            self._factories[canonical] = target
-            for alias in aliases:
-                alias_key = self._canonical(alias)
-                if alias_key == canonical:
-                    continue
-                if alias_key in self._factories:
-                    raise ValueError(
-                        f"alias {alias_key!r} collides with the registered behavior {alias_key!r}; "
-                        f"re-register that behavior instead"
-                    )
-                existing = self._aliases.get(alias_key)
-                if not replace and existing is not None and existing != canonical:
-                    raise ValueError(f"alias {alias_key!r} already points at behavior {existing!r}")
-                self._aliases[alias_key] = canonical
-            return target
-
-        if factory is not None:
-            return _register(factory)
-        return _register
-
-    def unregister(self, name: str) -> None:
-        """Remove a registration and every alias pointing at it."""
-        canonical = self.resolve(name)
-        del self._factories[canonical]
-        for alias in [a for a, target in self._aliases.items() if target == canonical]:
-            del self._aliases[alias]
-
-    # ------------------------------------------------------------------ #
-    # Lookup
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _canonical(name: str) -> str:
-        return name.strip().lower()
-
-    def resolve(self, name: str) -> str:
-        """Canonical name for ``name`` (follows aliases); KeyError if unknown."""
-        key = self._canonical(name)
-        key = self._aliases.get(key, key)
-        if key not in self._factories:
-            raise KeyError(f"unknown behavior {name!r}; registered behaviors: {', '.join(self.names())}")
-        return key
-
-    def __contains__(self, name: str) -> bool:
-        key = self._canonical(name)
-        return self._aliases.get(key, key) in self._factories
-
-    def names(self) -> List[str]:
-        """Canonical names of every registered behavior, sorted."""
-        return sorted(self._factories)
-
-    def describe(self, name: str) -> str:
-        """One-line human-readable description: name, signature, docstring."""
-        canonical = self.resolve(name)
-        factory = self._factories[canonical]
-        doc = (inspect.getdoc(factory) or "").split("\n", 1)[0]
-        signature = inspect.signature(factory)
-        return f"{canonical}{signature} — {doc}" if doc else f"{canonical}{signature}"
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-    def create(self, name: str, *, profile: WorkerProfile, **config: object):
-        """Build the behaviour registered under ``name`` for ``profile``."""
-        canonical = self.resolve(name)
-        factory = self._factories[canonical]
-        try:
-            return factory(profile=profile, **config)
-        except TypeError as exc:
-            raise TypeError(
-                f"invalid configuration for behavior {canonical!r}: {exc} "
-                f"(signature: {canonical}{inspect.signature(factory)})"
-            ) from exc
+    register_behavior("static", b.StaticWorker, aliases=("fixed",))
+    register_behavior("learning", b.LearningWorker)
+    register_behavior("spammer", b.SpammerWorker, aliases=("spam",))
+    register_behavior("adversarial", b.AdversarialWorker, aliases=("adv",))
+    register_behavior("fatigue", b.FatigueWorker, aliases=("fatigued",))
+    register_behavior("sleeper", b.SleeperWorker, aliases=("sleep",))
+    register_behavior("drifter", b.DrifterWorker, aliases=("drift",))
 
 
 #: The process-wide registry used by :func:`make_behavior` and the samplers.
-GLOBAL_BEHAVIOR_REGISTRY = BehaviorRegistry()
-
-_BUILTINS_LOADED = False
-
-
-def _load_builtin_behaviors() -> None:
-    """Register the built-in behaviour classes (idempotent)."""
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
-    from repro.workers import behavior as b
-
-    registry = GLOBAL_BEHAVIOR_REGISTRY
-    registry.register("static", b.StaticWorker, aliases=("fixed",), replace=True)
-    registry.register("learning", b.LearningWorker, replace=True)
-    registry.register("spammer", b.SpammerWorker, aliases=("spam",), replace=True)
-    registry.register("adversarial", b.AdversarialWorker, aliases=("adv",), replace=True)
-    registry.register("fatigue", b.FatigueWorker, aliases=("fatigued",), replace=True)
-    registry.register("sleeper", b.SleeperWorker, aliases=("sleep",), replace=True)
-    registry.register("drifter", b.DrifterWorker, aliases=("drift",), replace=True)
-    _BUILTINS_LOADED = True
+GLOBAL_BEHAVIOR_REGISTRY = Registry("behavior", str.lower, _load_builtin_behaviors)
 
 
 def register_behavior(
@@ -180,37 +67,31 @@ def register_behavior(
 
 def make_behavior(name: str, *, profile: WorkerProfile, **config: object):
     """Construct a registered behaviour by name for one worker profile."""
-    _load_builtin_behaviors()
     return GLOBAL_BEHAVIOR_REGISTRY.create(name, profile=profile, **config)
 
 
 def behavior_names() -> List[str]:
     """Canonical names of every registered behaviour."""
-    _load_builtin_behaviors()
     return GLOBAL_BEHAVIOR_REGISTRY.names()
 
 
 def behavior_exists(name: str) -> bool:
     """Whether ``name`` (or an alias of it) is registered."""
-    _load_builtin_behaviors()
     return name in GLOBAL_BEHAVIOR_REGISTRY
 
 
 def resolve_behavior_name(name: str) -> str:
     """Canonical registered name for ``name`` (follows aliases, fixes case)."""
-    _load_builtin_behaviors()
     return GLOBAL_BEHAVIOR_REGISTRY.resolve(name)
 
 
 def describe_behavior(name: str) -> str:
     """Human-readable signature line for a registered behaviour."""
-    _load_builtin_behaviors()
     return GLOBAL_BEHAVIOR_REGISTRY.describe(name)
 
 
 __all__ = [
     "BehaviorFactory",
-    "BehaviorRegistry",
     "GLOBAL_BEHAVIOR_REGISTRY",
     "register_behavior",
     "make_behavior",

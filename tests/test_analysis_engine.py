@@ -9,8 +9,8 @@ import pytest
 
 from repro.analysis import (
     BaseRule,
+    GLOBAL_RULE_REGISTRY,
     LINT_SCHEMA_VERSION,
-    RuleRegistry,
     Severity,
     all_rules,
     analyze,
@@ -19,6 +19,7 @@ from repro.analysis import (
     format_json,
     format_text,
     make_rule,
+    register_rule,
     report_payload,
     resolve_rule_name,
     rule_exists,
@@ -70,30 +71,41 @@ class TestRuleRegistry:
         assert "S002" in line and "swallowed-exception" in line and "warning" in line
 
     def test_duplicate_registration_raises(self):
-        registry = RuleRegistry()
-        registry.register(_StubRule)
-        with pytest.raises(ValueError):
-            registry.register(_StubRule)
-        registry.register(_StubRule, replace=True)  # explicit override allowed
+        register_rule(_StubRule)
+        try:
+            with pytest.raises(ValueError, match="already registered"):
+                register_rule(_StubRule)
+            register_rule(_StubRule, replace=True)  # explicit override allowed
+        finally:
+            GLOBAL_RULE_REGISTRY.unregister("T900")
 
     def test_unregister_drops_aliases_too(self):
-        registry = RuleRegistry()
-        registry.register(_StubRule, aliases=("stubby",))
-        assert "stubby" in registry
-        registry.unregister("T900")
-        assert "T900" not in registry
-        assert "stubby" not in registry
+        register_rule(_StubRule, aliases=("stubby",))
+        assert rule_exists("stubby") and resolve_rule_name("Stub-Rule") == "T900"
+        GLOBAL_RULE_REGISTRY.unregister("stubby")
+        assert not rule_exists("T900")
+        assert not rule_exists("stubby")
+        assert not rule_exists("stub-rule")
 
     def test_decorator_form_returns_the_class(self):
-        registry = RuleRegistry()
-
-        @registry.register
+        @register_rule
         class Local(_StubRule):
             rule_id = "T901"
             name = "local-rule"
 
-        assert Local.rule_id == "T901"
-        assert registry.resolve("local-rule") == "T901"
+        try:
+            assert Local.rule_id == "T901"
+            assert resolve_rule_name("local-rule") == "T901"
+            assert make_rule("t901").rule_id == "T901"
+            assert describe_rule("local-rule") == "T901 (local-rule) [warning] — test stub"
+        finally:
+            GLOBAL_RULE_REGISTRY.unregister("T901")
+
+    def test_lower_case_rule_id_rejected(self):
+        # A pragma naming it would resolve to "T902" while its findings say "t902".
+        with pytest.raises(ValueError, match="must be upper-case"):
+            register_rule(type("Lower", (_StubRule,), {"rule_id": "t902", "name": "lower"}))
+        assert not rule_exists("lower")
 
 
 class TestDiscovery:

@@ -8,9 +8,14 @@ reasoned pragma, and everything else has been fixed.
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
-from repro.analysis import DEFAULT_LINT_PATHS, analyze
+from repro.analysis import DEFAULT_LINT_PATHS, ModuleContext, analyze, discover_files
+from repro.analysis.rules_contracts import _registration_sites
+from repro.core.registry import selector_names
+from repro.serving.routing import router_names
+from repro.workers.registry import behavior_names
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,3 +47,18 @@ def test_waivers_are_the_known_intentional_sites():
     # Timing reports (D002) and the nested serving payload (C004) are
     # the only discipline exceptions this repo has signed off on.
     assert waived_rules == {"D002", "C004"}
+
+
+def test_contract_rules_see_every_runtime_registration():
+    # C001-C003 check only the registrations they find statically; a
+    # built-in registered through a loop or a table would escape them.
+    found = {"behavior": set(), "router": set(), "selector": set()}
+    for path in discover_files([REPO_ROOT / "src"]):
+        source = path.read_text(encoding="utf-8")
+        module = ModuleContext(path, source, ast.parse(source), root=REPO_ROOT)
+        for axis, _anchor, _target, name in _registration_sites(module):
+            found[axis].add(name)
+    assert set(behavior_names()) <= found["behavior"]
+    assert set(router_names()) <= found["router"]
+    assert set(selector_names()) <= found["selector"]
+    assert (len(behavior_names()), len(router_names()), len(selector_names())) == (7, 3, 8)

@@ -21,7 +21,7 @@ from repro.workers.behavior import (
 from repro.workers.pool import WorkerPool
 from repro.workers.population import PopulationConfig, sample_learning_population
 from repro.workers.registry import (
-    BehaviorRegistry,
+    GLOBAL_BEHAVIOR_REGISTRY,
     behavior_exists,
     behavior_names,
     describe_behavior,
@@ -79,22 +79,23 @@ class TestBehaviorRegistry:
         assert "spammer" in str(excinfo.value)
 
     def test_register_and_unregister_custom(self):
-        registry = BehaviorRegistry()
-
-        @registry.register("always-right", aliases=("ar",))
+        @register_behavior("always-right", aliases=("ar",))
         def _build(profile):
             return SpammerWorker(profile, guess_accuracy=1.0)
 
-        assert registry.resolve("AR") == "always-right"
-        assert registry.create("always-right", profile=make_profile()).current_accuracy == 1.0
-        registry.unregister("always-right")
-        assert "ar" not in registry
+        try:
+            assert resolve_behavior_name("AR") == "always-right"
+            assert make_behavior("always-right", profile=make_profile()).current_accuracy == 1.0
+        finally:
+            GLOBAL_BEHAVIOR_REGISTRY.unregister("always-right")
+        assert not behavior_exists("ar")
 
     def test_duplicate_registration_rejected(self):
-        registry = BehaviorRegistry()
-        registry.register("x", lambda profile: None)
-        with pytest.raises(ValueError):
-            registry.register("x", lambda profile: None)
+        with pytest.raises(ValueError, match="already registered"):
+            register_behavior("static", lambda profile: None)
+        with pytest.raises(ValueError, match="already an alias"):
+            register_behavior("spam", lambda profile: None)
+        assert resolve_behavior_name("spam") == "spammer"
 
     def test_custom_behavior_reachable_from_mix(self):
         name = "test-custom-mix-behavior"
@@ -105,8 +106,6 @@ class TestBehaviorRegistry:
             perfect = [w for w in workers if w.current_accuracy == 1.0]
             assert len(perfect) == 2
         finally:
-            from repro.workers.registry import GLOBAL_BEHAVIOR_REGISTRY
-
             GLOBAL_BEHAVIOR_REGISTRY.unregister(name)
 
     def test_describe_mentions_signature(self):

@@ -30,11 +30,11 @@ from repro.serving.qualification import (
 )
 from repro.serving.quality import DriftConfig, QualityTracker
 from repro.serving.routing import (
-    GLOBAL_ROUTER_REGISTRY,
     BaseRouter,
     DomainAffinityRouter,
     NoEligibleWorkersError,
     make_router,
+    register_router,
 )
 from repro.serving.service import AnnotationService, ServingConfig
 
@@ -55,17 +55,22 @@ def worker(worker_id, estimate=0.9, tier=QUALIFIED, max_concurrent=8, questions=
     )
 
 
-def route_affinity_through_reference(monkeypatch):
-    """Build every registry ``domain_affinity`` router on the reference engine.
+@pytest.fixture
+def route_affinity_through_reference():
+    """Switch every registry ``domain_affinity`` router to the reference engine.
 
     The engine is selected only by the router constructor, so end-to-end
-    runs reach the oracle by swapping the registered factory.
+    runs reach the oracle by re-registering the factory; the built-in is
+    restored after the test.
     """
-    monkeypatch.setitem(
-        GLOBAL_ROUTER_REGISTRY._factories,
-        "domain_affinity",
-        functools.partial(DomainAffinityRouter, engine="reference"),
-    )
+
+    def switch():
+        register_router(
+            "domain_affinity", functools.partial(DomainAffinityRouter, engine="reference"), replace=True
+        )
+
+    yield switch
+    register_router("domain_affinity", DomainAffinityRouter, replace=True)
 
 
 def make_pool(accuracies, max_concurrent=8, tier=QUALIFIED):
@@ -169,7 +174,7 @@ class TestEngineEquivalence:
         assert native_picks == base_picks == ["w2", "w1"]
         assert native_pool.load_snapshot() == base_pool.load_snapshot()
 
-    def test_service_trace_byte_identical_with_mid_run_demotions(self, monkeypatch):
+    def test_service_trace_byte_identical_with_mid_run_demotions(self, route_affinity_through_reference):
         # End-to-end through AnnotationService: a drifting worker forces
         # demotions mid-run, and the full serialized trace — every
         # assignment, answer, label, demotion — must not depend on engine.
@@ -197,12 +202,12 @@ class TestEngineEquivalence:
             return service._router.engine, json.dumps(report.trace_dict(), sort_keys=True)
 
         indexed_engine, indexed = run()
-        route_affinity_through_reference(monkeypatch)
+        route_affinity_through_reference()
         reference_engine, reference = run()
         assert (indexed_engine, reference_engine) == ("indexed", "reference")
         assert indexed == reference
 
-    def test_marketplace_run_identical_across_engines(self, monkeypatch):
+    def test_marketplace_run_identical_across_engines(self, route_affinity_through_reference):
         # Open-world churn end to end: arrivals, departures, requalification
         # and drift all flow through the event bus, and the orchestrator
         # report must be identical whichever engine routed every vote.
@@ -218,7 +223,7 @@ class TestEngineEquivalence:
             return orchestrator._handles[0].service._router.engine, report
 
         indexed_engine, indexed = run()
-        route_affinity_through_reference(monkeypatch)
+        route_affinity_through_reference()
         reference_engine, reference = run()
         assert (indexed_engine, reference_engine) == ("indexed", "reference")
         assert indexed == reference

@@ -182,7 +182,8 @@ class TestRouterRegistry:
             router = make_router("always-first", make_pool([0.5, 0.9]))
             assert router.route(DOMAIN, 3) == ["w0"]
         finally:
-            del GLOBAL_ROUTER_REGISTRY._factories["always_first"]
+            GLOBAL_ROUTER_REGISTRY.unregister("always-first")
+        assert not router_exists("always_first")
 
     def test_double_registration_rejected(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.datasets.registry import get_spec
 from repro.workers.behavior import LearningWorker, StaticWorker
 from repro.workers.pool import WorkerPool
 from repro.workers.population import PopulationConfig, sample_learning_population
@@ -200,6 +203,11 @@ class TestPopulationSampling:
     def test_missing_reference_exposure_rejected(self):
         with pytest.raises(ValueError):
             self.config(reference_exposure=None)
+
+    @pytest.mark.parametrize("stds", [(-0.2, 0.0, 0.1), (0.2, 0.0, 0.1), (0.2, 0.1, float("nan"))])
+    def test_non_positive_prior_stds_rejected(self, stds):
+        with pytest.raises(ValueError, match="prior_stds must be positive"):
+            replace(get_spec("S-1").population, prior_stds=stds)
 
     def test_explicit_correlations_used(self):
         correlations = np.eye(4)
