@@ -4,12 +4,7 @@ Times the two serving hot paths in isolation:
 
 * **routing** — ``route()`` + load release per policy (``round_robin``,
   ``least_loaded``, ``domain_affinity``) across pool sizes up to 100k
-  workers, reported as routed tasks/second.  Every engine a policy's
-  constructor accepts gets its own cells: ``domain_affinity`` is timed
-  under its ``indexed`` engine (the per-domain qualification indexes) at
-  every size and under the O(n log n) ``reference`` engine on the smaller
-  pools, so the payload documents both the scaling cliff the index
-  removed and the fact that it is gone;
+  workers, reported as routed tasks/second;
 * **aggregation** — per-answer ``add()`` latency of the streaming
   majority vote and the incremental Dawid-Skene, plus the cost of the
   exact EM replay (``converge``);
@@ -28,10 +23,6 @@ perfectly flat, the pre-index ``domain_affinity`` measured ~0.08) and the
 gate: the run exits non-zero when indexed affinity routing falls below
 that fraction of the heap router, which is how CI pins the index's
 complexity class.
-
-Before any timing, every multi-engine policy has its engines routed side
-by side on a churning pool and the run aborts on the first divergent
-pick — timing a broken index is worthless.
 
 Run it as a script (the pytest suite does not collect it):
 
@@ -54,7 +45,7 @@ import argparse
 import gc
 import json
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -63,9 +54,9 @@ from repro.obs.timing import perf_counter
 from repro.serving.aggregation import IncrementalDawidSkene, OnlineMajorityVote
 from repro.serving.pool import ServingPool, ServingWorker
 from repro.serving.qualification import DomainQualification, QualificationTier
-from repro.serving.routing import DomainAffinityRouter, NoEligibleWorkersError, make_router, router_names
+from repro.serving.routing import make_router, router_names
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 DEFAULT_POOL_SIZES = (40, 160, 640, 10_000, 100_000)
 #: Pool sizes the telemetry on/off arms are compared at.
@@ -76,13 +67,6 @@ DEFAULT_DOMAIN = "target"
 #: Fraction of workers landing in the fallback tier, so tier filtering is
 #: exercised instead of idled.
 FALLBACK_FRACTION = 0.2
-#: Per-cell task cap and pool-size ceiling for the O(n log n) reference
-#: engine — uncapped, a 100k-pool reference cell alone would take hours.
-DEFAULT_REFERENCE_TASKS = 2_000
-DEFAULT_REFERENCE_MAX_POOL = 10_000
-#: Ranking engines each policy's constructor accepts (``engine=``), default
-#: first; policies absent here have a single implementation.
-POLICY_ENGINES: Dict[str, Tuple[str, ...]] = {"domain_affinity": DomainAffinityRouter.ENGINES}
 
 
 def build_pool(n_workers: int, seed: int = 0, max_concurrent: int = 8) -> ServingPool:
@@ -111,96 +95,18 @@ def build_pool(n_workers: int, seed: int = 0, max_concurrent: int = 8) -> Servin
     return ServingPool(workers)
 
 
-def check_engine_equivalence(
-    policy: str,
-    engines: Tuple[str, ...],
-    n_workers: int,
-    n_tasks: int,
-    votes: int,
-    seed: int = 0,
-) -> int:
-    """Route a policy's engines side by side on a churning pool.
-
-    Drives identical route / complete / demote / remove / re-add scripts
-    against same-seeded pools and raises on the first divergent pick.
-    Returns the number of compared tasks.
-    """
-    lead = engines[0]
-    pools = {engine: build_pool(n_workers, seed=seed) for engine in engines}
-    routers = {
-        engine: make_router(policy, pool, engine=engine)
-        for engine, pool in pools.items()
-    }
-    removed: Dict[str, ServingWorker] = {}
-    compared = 0
-    for task in range(n_tasks):
-        picks = {}
-        for engine in engines:
-            try:
-                chosen = routers[engine].route(DEFAULT_DOMAIN, votes)
-            except NoEligibleWorkersError:
-                chosen = None
-            if chosen:
-                for worker_id in chosen:
-                    pools[engine].complete_assignment(worker_id)
-            picks[engine] = chosen
-        for engine in engines[1:]:
-            if picks[engine] != picks[lead]:
-                raise RuntimeError(
-                    f"{policy} engine divergence at task {task} on a "
-                    f"{n_workers}-worker pool: {lead}={picks[lead]} "
-                    f"{engine}={picks[engine]}"
-                )
-        compared += 1
-        # Churn script (identical on all pools): demote the task's first
-        # pick every 7 tasks, remove a routed worker every 11, re-admit the
-        # longest-removed worker every 13.
-        if picks[lead] is None:
-            continue  # drained identically; a later re-admission may refill
-        if task % 7 == 3:
-            for pool in pools.values():
-                pool.demote(picks[lead][0], DEFAULT_DOMAIN)
-        if task % 11 == 5 and len(pools[lead]) > votes:
-            victim = picks[lead][-1]
-            for engine, pool in pools.items():
-                gone = pool.remove_worker(victim)
-                if engine == lead:
-                    removed[victim] = gone
-        if task % 13 == 8 and removed:
-            victim, worker = next(iter(removed.items()))
-            del removed[victim]
-            for engine, pool in pools.items():
-                pool.add_worker(
-                    worker
-                    if engine == lead
-                    else ServingWorker(
-                        worker_id=worker.worker_id,
-                        qualifications=dict(worker.qualifications),
-                        max_concurrent=worker.max_concurrent,
-                        active=worker.active,
-                        assigned_total=worker.assigned_total,
-                        completed_total=worker.completed_total,
-                    )
-                )
-    return compared
-
-
 def time_routing(
     policy: str,
     n_workers: int,
     n_tasks: int,
     votes: int,
     repeats: int,
-    engine: Optional[str] = None,
 ) -> Dict[str, float]:
     """Best-of-``repeats`` routing throughput of one policy on one pool size."""
-    config: Dict[str, object] = {}
-    if engine is not None:
-        config["engine"] = engine
     times: List[float] = []
     for repeat in range(repeats):
         pool = build_pool(n_workers, seed=repeat)
-        router = make_router(policy, pool, **config)
+        router = make_router(policy, pool)
         # Freeze the pool's object graph out of the generational collector:
         # at 100k workers the periodic gen2 scans over construction garbage
         # otherwise dominate the timing and masquerade as a routing cliff.
@@ -304,13 +210,10 @@ def time_aggregation(n_answers: int, n_tasks: int, n_workers: int, seed: int = 0
 
 
 def _flatness(cells: List[Dict[str, object]]) -> Dict[str, Dict[str, float]]:
-    """Per (policy, engine): min/max throughput across pool sizes and their ratio."""
+    """Per policy: min/max throughput across pool sizes and their ratio."""
     grouped: Dict[str, List[float]] = {}
     for cell in cells:
-        key = str(cell["policy"])
-        if cell.get("engine"):
-            key = f"{key}[{cell['engine']}]"
-        grouped.setdefault(key, []).append(float(cell["tasks_per_second"]))
+        grouped.setdefault(str(cell["policy"]), []).append(float(cell["tasks_per_second"]))
     return {
         key: {
             "min_tasks_per_second": min(values),
@@ -321,24 +224,11 @@ def _flatness(cells: List[Dict[str, object]]) -> Dict[str, Dict[str, float]]:
     }
 
 
-def _default_engine(policy: str) -> Optional[str]:
-    engines = POLICY_ENGINES.get(policy, ())
-    return engines[0] if engines else None
-
-
 def _affinity_ratios(cells: List[Dict[str, object]]) -> Dict[str, object]:
-    """Indexed-affinity throughput as a fraction of least_loaded, per pool size.
-
-    Compares the production engines only (each policy's declared default) —
-    alternate engines like ``reference`` have their own cells
-    but stay out of the headline ratio.
-    """
+    """Indexed-affinity throughput as a fraction of least_loaded, per pool size."""
     by_size: Dict[int, Dict[str, float]] = {}
     for cell in cells:
-        policy = str(cell["policy"])
-        if cell.get("engine") not in (None, _default_engine(policy)):
-            continue
-        by_size.setdefault(int(cell["pool_size"]), {})[policy] = float(
+        by_size.setdefault(int(cell["pool_size"]), {})[str(cell["policy"])] = float(
             cell["tasks_per_second"]
         )
     ratios: Dict[str, float] = {}
@@ -360,49 +250,19 @@ def run_benchmark(
     votes: int,
     repeats: int,
     n_answers: int,
-    reference_tasks: int = DEFAULT_REFERENCE_TASKS,
-    reference_max_pool: int = DEFAULT_REFERENCE_MAX_POOL,
     overhead_pool_sizes: Sequence[int] = DEFAULT_OVERHEAD_POOL_SIZES,
 ) -> Dict[str, object]:
     """The full benchmark payload."""
-    for policy in router_names():
-        declared = POLICY_ENGINES.get(policy, ())
-        if len(declared) < 2:
-            continue
-        compared = check_engine_equivalence(
-            policy, declared, min(pool_sizes), n_tasks=min(n_tasks, 500), votes=votes
-        )
-        print(
-            f"  {policy} engine equivalence ({'/'.join(declared)}): "
-            f"{compared} churning tasks, picks identical",
-            file=sys.stderr,
-        )
     routing: List[Dict[str, object]] = []
     for policy in router_names():
-        engines: List[Optional[str]] = list(POLICY_ENGINES.get(policy, ())) or [None]
-        for engine in engines:
-            for n_workers in pool_sizes:
-                cell_tasks = n_tasks
-                if engine == "reference":
-                    if n_workers > reference_max_pool:
-                        print(
-                            f"  {policy:>16} pool={n_workers:<6} engine=reference skipped "
-                            f"(pool above --reference-max-pool={reference_max_pool})",
-                            file=sys.stderr,
-                        )
-                        continue
-                    cell_tasks = min(n_tasks, reference_tasks)
-                result = time_routing(policy, n_workers, cell_tasks, votes, repeats, engine=engine)
-                cell: Dict[str, object] = {"policy": policy, "pool_size": n_workers, **result}
-                if engine is not None:
-                    cell["engine"] = engine
-                routing.append(cell)
-                label = f"{policy}[{engine}]" if engine else policy
-                print(
-                    f"  {label:>28} pool={n_workers:<6} "
-                    f"{result['tasks_per_second']:>12,.0f} tasks/s",
-                    file=sys.stderr,
-                )
+        for n_workers in pool_sizes:
+            result = time_routing(policy, n_workers, n_tasks, votes, repeats)
+            routing.append({"policy": policy, "pool_size": n_workers, **result})
+            print(
+                f"  {policy:>16} pool={n_workers:<6} "
+                f"{result['tasks_per_second']:>12,.0f} tasks/s",
+                file=sys.stderr,
+            )
     overhead_cells: List[Dict[str, object]] = []
     for n_workers in overhead_pool_sizes:
         cell = time_telemetry_overhead(n_workers, n_tasks, votes, repeats)
@@ -423,8 +283,6 @@ def run_benchmark(
             "votes_per_task": votes,
             "repeats": repeats,
             "n_answers": n_answers,
-            "reference_tasks": reference_tasks,
-            "reference_max_pool": reference_max_pool,
             "overhead_pool_sizes": list(overhead_pool_sizes),
         },
         "environment": bench_environment(),
@@ -447,18 +305,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--votes", type=int, default=3, help="workers per task")
     parser.add_argument("--repeats", type=int, default=3, help="timing repeats (best is kept)")
     parser.add_argument("--answers", type=int, default=50_000, help="answers streamed into the aggregators")
-    parser.add_argument(
-        "--reference-tasks",
-        type=int,
-        default=DEFAULT_REFERENCE_TASKS,
-        help="task cap per reference-engine cell (the O(n log n) baseline; default 2000)",
-    )
-    parser.add_argument(
-        "--reference-max-pool",
-        type=int,
-        default=DEFAULT_REFERENCE_MAX_POOL,
-        help="largest pool the reference engine is benched on (default 10000)",
-    )
     parser.add_argument(
         "--min-affinity-ratio",
         type=float,
@@ -495,8 +341,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         votes=args.votes,
         repeats=args.repeats,
         n_answers=args.answers,
-        reference_tasks=args.reference_tasks,
-        reference_max_pool=args.reference_max_pool,
         overhead_pool_sizes=args.overhead_pools,
     )
     assert_bench_environment(payload)

@@ -32,9 +32,11 @@ Implementation notes (DESIGN.md §6):
   (:meth:`CrossDomainPerformanceEstimator.objective_gradient`).  Where a
   conditioning solve is singular it falls back to central finite
   differences, evaluated as one stacked ``(2P x workers x nodes)``
-  computation.  The scalar likelihood with a finite-difference gradient is
-  kept behind ``CPEConfig(likelihood_engine="reference")`` as the test
-  oracle;
+  computation.  The scalar likelihood with a finite-difference gradient
+  that this engine replaced is kept as a test oracle
+  (``tests/oracles/cpe.py``), which replaces the update's
+  ``(objective, gradient)`` pair through
+  :meth:`CrossDomainPerformanceEstimator._objective_and_gradient`;
 * the update asks "must this candidate's correlations be projected?" once
   per candidate, in its projection step
   (:meth:`MultivariateNormalModel.canonicalise`).  The line search and the
@@ -45,24 +47,16 @@ Implementation notes (DESIGN.md §6):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import logsumexp
 
 from repro.stats.mvn import MultivariateNormalModel
-from repro.stats.optimize import (
-    finite_difference_gradient,
-    finite_difference_gradient_batch,
-    gradient_descent,
-)
+from repro.stats.optimize import finite_difference_gradient_batch, gradient_descent
 from repro.stats.quadrature import GaussLegendreRule, unit_interval_rule
 from repro.stats.rng import SeedLike, as_generator
 from repro.stats.truncated import truncated_normal_mean
-
-_LOG_EPS = 1e-300
-
-_LIKELIHOOD_ENGINES = ("vectorized", "reference")
 
 
 @dataclass(frozen=True)
@@ -153,12 +147,6 @@ class CPEConfig:
         in which the cross-domain prior smooths the raw observations.
         ``"prior"`` reproduces the literal form of Eq. (8) (conditional
         expectation given the profile only) and is kept for ablations.
-    likelihood_engine:
-        ``"vectorized"`` (default) runs the gradient update on the
-        :class:`RoundData` engine with the closed-form Eq. (5) gradient —
-        one forward/backward pass per epoch.  ``"reference"`` is the test
-        oracle: the scalar likelihood, which agrees with the vectorized one
-        to ~1e-10, and central finite differences of it for the gradient.
     """
 
     initial_target_mean: float = 0.5
@@ -171,7 +159,6 @@ class CPEConfig:
     update_prior_moments: bool = True
     posterior: str = "counts"
     min_conditional_std: float = 0.08
-    likelihood_engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.initial_target_mean < 1.0:
@@ -188,8 +175,6 @@ class CPEConfig:
             raise ValueError("n_quadrature_nodes must be at least 2")
         if self.posterior not in ("prior", "counts"):
             raise ValueError("posterior must be 'prior' or 'counts'")
-        if self.likelihood_engine not in _LIKELIHOOD_ENGINES:
-            raise ValueError(f"likelihood_engine must be one of {_LIKELIHOOD_ENGINES}")
 
 
 class CrossDomainPerformanceEstimator:
@@ -330,42 +315,6 @@ class CrossDomainPerformanceEstimator:
         cond_vars = np.maximum(cond_vars, self._config.min_conditional_std**2)
         return cond_means, cond_vars
 
-    def log_likelihood(
-        self,
-        model: MultivariateNormalModel,
-        historical_accuracies: np.ndarray,
-        correct_counts: np.ndarray,
-        wrong_counts: np.ndarray,
-    ) -> float:
-        """The Eq. (5) marginal log-likelihood of one round's counts."""
-        accuracies = np.atleast_2d(np.asarray(historical_accuracies, dtype=float))
-        correct = np.asarray(correct_counts, dtype=float)
-        wrong = np.asarray(wrong_counts, dtype=float)
-        if accuracies.shape[0] != correct.shape[0] or correct.shape != wrong.shape:
-            raise ValueError("historical_accuracies, correct_counts and wrong_counts must align")
-        if np.any(correct < 0) or np.any(wrong < 0):
-            raise ValueError("counts must be non-negative")
-
-        cond_means, cond_vars = self._conditional_parameters(model, accuracies)
-        nodes = self._rule.nodes  # shape (n_nodes,)
-        log_weights = np.log(self._rule.weights)
-
-        # (workers x nodes) log-integrand, assembled in log space.
-        log_h = np.log(np.clip(nodes, _LOG_EPS, None))
-        log_1mh = np.log(np.clip(1.0 - nodes, _LOG_EPS, None))
-        binomial_part = correct[:, None] * log_h[None, :] + wrong[:, None] * log_1mh[None, :]
-        std = np.sqrt(cond_vars)[:, None]
-        gaussian_part = (
-            -0.5 * ((nodes[None, :] - cond_means[:, None]) / std) ** 2
-            - np.log(std)
-            - 0.5 * np.log(2.0 * np.pi)
-        )
-        log_integrals = logsumexp(binomial_part + gaussian_part + log_weights[None, :], axis=1)
-        return float(np.sum(log_integrals))
-
-    # ------------------------------------------------------------------ #
-    # Vectorized likelihood engine
-    # ------------------------------------------------------------------ #
     def prepare_round(
         self,
         historical_accuracies: np.ndarray,
@@ -566,6 +515,29 @@ class CrossDomainPerformanceEstimator:
             grad_cov += pattern_cov
         return MultivariateNormalModel.parameter_gradient(sigma, rho, grad_mean, grad_cov)
 
+    def _objective_and_gradient(
+        self,
+        historical_accuracies: np.ndarray,
+        correct_counts: np.ndarray,
+        wrong_counts: np.ndarray,
+        mask: np.ndarray,
+    ) -> Tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], np.ndarray]]:
+        """The objective :meth:`update` descends and its gradient, over packed parameters.
+
+        Both read one :class:`RoundData` built here: the objective is
+        :meth:`objective_stack` at one canonical row, the gradient
+        :meth:`objective_gradient`, zero where ``mask`` is ``False``.
+        """
+        data = self.prepare_round(historical_accuracies, correct_counts, wrong_counts)
+
+        def objective(theta: np.ndarray) -> float:
+            return float(self.objective_stack(theta[None, :], data)[0])
+
+        def gradient(theta: np.ndarray) -> np.ndarray:
+            return self.objective_gradient(theta, data, mask)
+
+        return objective, gradient
+
     # ------------------------------------------------------------------ #
     # Update (Algorithm 1, step 4 / Eq. 6-7)
     # ------------------------------------------------------------------ #
@@ -596,28 +568,9 @@ class CrossDomainPerformanceEstimator:
             mask[mean_slice.stop - 1] = True
             mask[sigma_slice.stop - 1] = True
 
-        accuracies = np.atleast_2d(np.asarray(historical_accuracies, dtype=float))
-        correct = np.asarray(correct_counts, dtype=float)
-        wrong = np.asarray(wrong_counts, dtype=float)
-        n_workers = max(accuracies.shape[0], 1)
-
-        if self._config.likelihood_engine == "vectorized":
-            data = self.prepare_round(accuracies, correct, wrong)
-
-            def objective(theta: np.ndarray) -> float:
-                return float(self.objective_stack(theta[None, :], data)[0])
-
-            def raw_gradient(theta: np.ndarray) -> np.ndarray:
-                return self.objective_gradient(theta, data, mask)
-
-        else:
-
-            def objective(theta: np.ndarray) -> float:
-                candidate = MultivariateNormalModel.unpack_parameters(theta, dimension)
-                return -self.log_likelihood(candidate, accuracies, correct, wrong) / n_workers
-
-            def raw_gradient(theta: np.ndarray) -> np.ndarray:
-                return finite_difference_gradient(objective, theta, step=1e-5, mask=mask)
+        objective, raw_gradient = self._objective_and_gradient(
+            historical_accuracies, correct_counts, wrong_counts, mask
+        )
 
         def project(theta: np.ndarray) -> np.ndarray:
             # Accuracy means live in [0, 1] and accuracy standard deviations

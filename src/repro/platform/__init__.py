@@ -11,8 +11,8 @@ crowdsourcing platform that can
 * assign learning-task batches to the remaining workers each round —
   :mod:`repro.platform.assignment`;
 * record every worker's per-round answers — :mod:`repro.platform.history`;
-* simulate a round's answers for the whole pool at once (vectorized Bernoulli
-  engine with a bit-identical reference loop) — :mod:`repro.platform.answers`;
+* simulate a round's answers for the whole pool at once (one accuracy
+  matrix and one vectorized Bernoulli draw) — :mod:`repro.platform.answers`;
 * orchestrate the whole answer-and-learn loop while enforcing the budget —
   :mod:`repro.platform.session`.
 
@@ -22,11 +22,7 @@ and learning-task answers) and keeps the latent worker accuracies hidden
 behind evaluation-only methods.
 """
 
-from repro.platform.answers import (
-    ANSWER_ENGINES,
-    behavior_accuracy_matrix,
-    simulate_round_answers,
-)
+from repro.platform.answers import behavior_accuracy_matrix, simulate_round_answers
 from repro.platform.assignment import RoundAssignment, build_round_assignment
 from repro.platform.budget import BudgetSchedule, compute_budget, number_of_batches
 from repro.platform.history import AnswerHistory, RoundRecord
@@ -47,7 +43,6 @@ __all__ = [
     "RoundRecord",
     "AnnotationEnvironment",
     "BudgetExceededError",
-    "ANSWER_ENGINES",
     "behavior_accuracy_matrix",
     "simulate_round_answers",
 ]

@@ -13,11 +13,11 @@ module replaces it with a batched path:
   (:func:`repro.stats.rng.counter_uniforms`), so the whole round's answers
   are a single ``uniforms < accuracies`` comparison.
 
-The original loop survives as the ``"reference"`` engine (the PR 2 pattern).
-Both engines consume the *same* per-(worker, round) streams and the same
-curve formulas — the scalar ``accuracy_at`` delegates to the batched curve —
-so they produce **bit-identical** correctness records: the reference engine
-is the executable specification of the vectorized one.
+The original per-worker loop is kept only as a test oracle
+(``tests/oracles/answers.py``).  It consumes the *same* per-(worker, round)
+streams and the same curve formulas — the scalar ``accuracy_at`` delegates
+to the batched curve — so it produces **bit-identical** correctness records:
+the loop is the executable specification of this path.
 
 Because every stream seed is a pure function of ``(environment seed,
 worker id, round index)``, simulated answers are independent of pool
@@ -34,9 +34,6 @@ import numpy as np
 
 from repro.stats.rng import counter_uniforms
 from repro.workers.behavior import WorkerBehavior
-
-#: Valid values of the environment's ``answer_engine`` knob.
-ANSWER_ENGINES = ("vectorized", "reference")
 
 
 def split_batches(tasks_per_worker: int, batch_size: int) -> List[int]:
@@ -94,7 +91,6 @@ def simulate_round_answers(
     stream_seeds: np.ndarray,
     tasks_per_worker: int,
     batch_size: int,
-    engine: str = "vectorized",
 ) -> List[np.ndarray]:
     """Simulate one round's answers for a set of workers; advances training.
 
@@ -111,9 +107,6 @@ def simulate_round_answers(
         One 64-bit stream seed per worker (see
         :func:`repro.stats.rng.stream_seeds`); draw ``t`` of worker ``i``'s
         round is ``counter_uniforms(stream_seeds[i:i+1], ...)`` draw ``t``.
-    engine:
-        ``"vectorized"`` (default) or ``"reference"``.  Bit-identical
-        results; the reference loop is the executable specification.
 
     Returns
     -------
@@ -121,27 +114,12 @@ def simulate_round_answers(
         Per-worker boolean correctness arrays of length ``tasks_per_worker``,
         in ``behaviors`` order.
     """
-    if engine not in ANSWER_ENGINES:
-        raise ValueError(f"answer_engine must be one of {ANSWER_ENGINES}, got {engine!r}")
     sizes = split_batches(tasks_per_worker, batch_size)
     seeds = np.asarray(stream_seeds, dtype=np.uint64)
     if seeds.shape != (len(behaviors),):
         raise ValueError(f"stream_seeds must have shape ({len(behaviors)},), got {seeds.shape}")
 
-    if engine == "reference":
-        rows: List[np.ndarray] = []
-        for index, worker in enumerate(behaviors):
-            answered: List[np.ndarray] = []
-            drawn = 0
-            for size in sizes:
-                uniforms = counter_uniforms(seeds[index : index + 1], size, offset=drawn)[0]
-                answered.append(uniforms < worker.current_accuracy)
-                worker.observe_feedback(size)
-                drawn += size
-            rows.append(np.concatenate(answered) if answered else np.zeros(0, dtype=bool))
-        return rows
-
-    # Vectorized path: one accuracy matrix, one Bernoulli draw.
+    # One accuracy matrix, one Bernoulli draw.
     offsets = np.concatenate([[0.0], np.cumsum(sizes, dtype=float)[:-1]]) if sizes else np.zeros(0)
     starts = np.asarray([worker.training_exposure for worker in behaviors], dtype=float)
     per_batch = behavior_accuracy_matrix(behaviors, starts[:, None] + offsets[None, :])
@@ -154,7 +132,6 @@ def simulate_round_answers(
 
 
 __all__ = [
-    "ANSWER_ENGINES",
     "split_batches",
     "behavior_accuracy_matrix",
     "simulate_round_answers",

@@ -12,14 +12,14 @@ bank and a budget schedule into the answer-and-learn protocol of Figure 2:
 3. at the end the algorithm hands back the selected worker ids and the
    environment evaluates their accuracy on the working tasks.
 
-Answer simulation is delegated to :mod:`repro.platform.answers`: the default
-``"vectorized"`` engine simulates the whole round with one batched accuracy
-matrix and one Bernoulli draw, while the ``"reference"`` engine keeps the
-per-worker loop as the executable specification — both consume the same
-per-(worker, round) counter-based streams, so their records are
-bit-identical.  Every stream is derived from the environment seed, the
+Answer simulation is delegated to :mod:`repro.platform.answers`, which
+simulates the whole round with one batched accuracy matrix and one
+Bernoulli draw.  Every stream is derived from the environment seed, the
 worker id and the round index, never from a shared sequential generator, so
 simulated answers are independent of iteration order and process count.
+The per-worker loop this replaced is kept as a test oracle
+(``tests/oracles/answers.py``), which consumes the same streams and must
+produce bit-identical records.
 
 The environment enforces the total budget ``B``: any assignment that would
 exceed it raises :class:`BudgetExceededError`, so a mis-configured selector
@@ -34,11 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.platform.answers import (
-    ANSWER_ENGINES,
-    behavior_accuracy_matrix,
-    simulate_round_answers,
-)
+from repro.platform.answers import behavior_accuracy_matrix, simulate_round_answers
 from repro.platform.assignment import build_round_assignment
 from repro.platform.budget import BudgetSchedule
 from repro.platform.history import AnswerHistory, RoundRecord
@@ -95,10 +91,7 @@ class AnnotationEnvironment:
     rng:
         Seed controlling the simulated answers.  An integer makes every
         stream reproducible; the same seed yields byte-identical records
-        regardless of engine, worker iteration order or process count.
-    answer_engine:
-        ``"vectorized"`` (default) or ``"reference"`` — see
-        :mod:`repro.platform.answers`.
+        regardless of worker iteration order or process count.
     """
 
     def __init__(
@@ -109,18 +102,14 @@ class AnnotationEnvironment:
         prior_domains: Sequence[str],
         rng: SeedLike = None,
         batch_size: Optional[int] = None,
-        answer_engine: str = "vectorized",
     ) -> None:
         if batch_size is not None and batch_size <= 0:
             raise ValueError("batch_size must be positive when given")
-        if answer_engine not in ANSWER_ENGINES:
-            raise ValueError(f"answer_engine must be one of {ANSWER_ENGINES}, got {answer_engine!r}")
         self._pool = pool
         self._task_bank = task_bank
         self._schedule = schedule
         self._prior_domains = list(prior_domains)
         self._answer_root = _seed_root(rng)
-        self._answer_engine = answer_engine
         self._batch_size = batch_size
         self._history = AnswerHistory()
         self._spent_budget = 0
@@ -159,11 +148,6 @@ class AnnotationEnvironment:
     @property
     def remaining_budget(self) -> int:
         return self._schedule.total_budget - self._spent_budget
-
-    @property
-    def answer_engine(self) -> str:
-        """Which answer-simulation engine this environment runs."""
-        return self._answer_engine
 
     def historical_profiles(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(H, N)`` matrices over the prior domains, in pool order."""
@@ -234,7 +218,6 @@ class AnnotationEnvironment:
             self._worker_stream_seeds(worker_ids, _LEARNING_STREAM, resolved_round),
             tasks_per_worker,
             batch_size,
-            engine=self._answer_engine,
         )
         correctness = dict(zip(worker_ids, answers))
 
@@ -308,14 +291,8 @@ class AnnotationEnvironment:
                 [self._worker_hashes[worker_id] for worker_id in worker_ids], dtype=np.uint64
             )
             seeds = stream_seeds(root, hashes, _EVALUATION_STREAM, 0)
-            if self._answer_engine == "reference":
-                values = [
-                    float(np.mean(counter_uniforms(seeds[i : i + 1], n_tasks)[0] < latents[i]))
-                    for i in range(len(behaviors))
-                ]
-            else:
-                uniforms = counter_uniforms(seeds, n_tasks)
-                values = np.mean(uniforms < latents[:, None], axis=1).tolist()
+            uniforms = counter_uniforms(seeds, n_tasks)
+            values = np.mean(uniforms < latents[:, None], axis=1).tolist()
             per_worker = {worker_id: float(value) for worker_id, value in zip(worker_ids, values)}
         else:
             per_worker = {worker_id: float(value) for worker_id, value in zip(worker_ids, latents)}
@@ -344,7 +321,6 @@ class AnnotationEnvironment:
             "total_budget": self._schedule.total_budget,
             "n_rounds": self._schedule.n_rounds,
             "spent_budget": self._spent_budget,
-            "answer_engine": self._answer_engine,
             "learning_tasks_available": self._task_bank.n_learning,
             "learning_tasks_cycled": self._next_task_index > self._task_bank.n_learning,
         }

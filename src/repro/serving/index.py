@@ -2,9 +2,9 @@
 
 The ``domain_affinity`` policy ranks a task's candidate workers by the
 pinned affinity key ``(-estimate, worker_id)`` within each qualification
-tier.  The reference implementation re-filters and re-sorts the whole pool
-for every routed task — O(n log n) per task, which is why its measured
-throughput was *inversely* proportional to pool size.  A
+tier.  Re-filtering and re-sorting the whole pool for every routed task
+(the form the test oracle keeps) costs O(n log n) per task, which is why
+its measured throughput was *inversely* proportional to pool size.  A
 :class:`DomainIndexSet` keeps that ranking materialised instead: one
 sorted list per ``(domain, tier)``, maintained incrementally from the
 :class:`~repro.serving.pool.ServingPool` change-event bus, so a route is
@@ -74,10 +74,10 @@ class DomainIndexSet:
     ----------
     pool:
         The serving pool the index mirrors.  The owner (normally
-        :class:`~repro.serving.routing.DomainAffinityRouter`) forwards the
-        pool's membership, qualification and load hooks here; the index
-        does not subscribe itself, so one pool listener serves both the
-        router and its index.
+        :class:`~repro.serving.routing.DomainAffinityRouter`) binds this
+        index's membership, qualification and load hooks as its own pool
+        hooks; the index does not subscribe itself, so one pool listener
+        serves both the router and its index.
     compact_floor:
         Minimum dead entries before a list is compacted (compaction also
         requires the dead to be at least half the list).  Small values

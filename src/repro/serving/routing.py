@@ -20,14 +20,14 @@ concurrency cap by charging assignments through the pool):
 ``domain_affinity``
     Prefer fully qualified workers on the task's domain, ranked by the
     pinned affinity key ``(-estimate, worker_id)``; spill into the
-    fallback tier only when qualified capacity is exhausted.  Two
-    engines: ``indexed`` (the default) walks pre-sorted per-(domain,
-    tier) :class:`~repro.serving.index.DomainIndexSet` rankings
-    maintained from the pool event bus, with saturated workers parked
-    off them until a slot frees — O(votes + log n) per task;
-    ``reference`` re-sorts the pool per task — O(n log n) — and exists
-    only as the test oracle the equivalence tests hold the index against
-    (``DomainAffinityRouter(pool, engine="reference")``).
+    fallback tier only when qualified capacity is exhausted.  Walks
+    pre-sorted per-(domain, tier)
+    :class:`~repro.serving.index.DomainIndexSet` rankings maintained from
+    the pool event bus, with saturated workers parked off them until a
+    slot frees — O(votes + log n) per task.  The per-task re-sort it
+    replaced — O(n log n) — is kept only as the test oracle the
+    equivalence tests hold the index against
+    (``tests/oracles/routing.py``).
 
 A policy's :meth:`BaseRouter.route` picks ``n_votes`` *distinct* workers
 and charges their in-flight load; the serving loop releases the load when
@@ -40,13 +40,13 @@ from __future__ import annotations
 
 import abc
 import heapq
-from typing import Callable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Set, Tuple
 
 from repro.obs.timing import perf_counter
 from repro.registry import Registry
 from repro.serving.index import DomainIndexSet
-from repro.serving.pool import ServingPool, ServingWorker, pool_event_noop
-from repro.serving.qualification import QualificationTier, affinity_rank_key
+from repro.serving.pool import ServingPool, pool_event_noop
+from repro.serving.qualification import QualificationTier
 
 
 class NoEligibleWorkersError(RuntimeError):
@@ -437,85 +437,36 @@ class DomainAffinityRouter(BaseRouter):
     picks are charged.  The fallback tier is consulted only when the
     qualified tier cannot supply ``n_votes`` workers with spare capacity.
 
-    Two engines produce that ranking:
-
-    ``indexed`` (default)
-        Walks pre-sorted per-(domain, tier) lists kept incrementally
-        consistent by a :class:`~repro.serving.index.DomainIndexSet` fed
-        from the pool event bus — O(votes + log n) amortised per task.
-    ``reference``
-        Re-sorts the pool's tier members per task — O(n log n), kept only
-        as the obviously-correct test oracle the equivalence tests hold
-        the index against.  This constructor is its one entry point: no
-        serving config, marketplace config or CLI flag selects it.
-
-    Both pick the same workers, byte for byte (enforced by
+    The ranking is walked from pre-sorted per-(domain, tier) lists kept
+    incrementally consistent by a
+    :class:`~repro.serving.index.DomainIndexSet` fed from the pool event
+    bus — O(votes + log n) amortised per task.  The index parks saturated
+    workers off its rankings and re-admits them at the same rank when a
+    slot frees, so it yields only workers with spare capacity.  It picks
+    the same workers, byte for byte, as the test oracle that re-sorts each
+    tier per task and checks capacity live on every candidate (enforced by
     ``tests/test_routing_equivalence.py`` and the differential state
-    machine in ``tests/test_routing_stateful.py``).  The reference checks
-    capacity live on every candidate; the index parks saturated workers
-    off its rankings and re-admits them at the same rank when a slot
-    frees, so it yields only workers with spare capacity.
+    machine in ``tests/test_routing_stateful.py``).
     """
 
     name = "domain_affinity"
 
-    #: Valid ``engine=`` values, default first.
-    ENGINES = ("indexed", "reference")
-
-    def __init__(self, pool: ServingPool, engine: str = "indexed", compact_floor: int = 32) -> None:
-        if engine not in self.ENGINES:
-            raise ValueError(
-                f"unknown routing engine {engine!r}; expected one of {', '.join(self.ENGINES)}"
-            )
-        self._engine = engine
-        # Built before the base class subscribes us to the pool: the hooks
-        # the subscription binds forward straight to this index.  Load
-        # events re-admit parked workers, so the index's load hook is bound
-        # as this instance's (the class-level hook is a marked no-op the
-        # pool skips, which keeps the reference engine off the load bus).
-        self._index = DomainIndexSet(pool, compact_floor=compact_floor) if engine == "indexed" else None
-        if self._index is not None:
-            self.on_load_changed = self._index.on_load_changed  # type: ignore[method-assign]
+    def __init__(self, pool: ServingPool, compact_floor: int = 32) -> None:
+        # Built before the base class subscribes us to the pool: the pool
+        # binds this instance's hooks, which are the index's own.  Load
+        # events re-admit parked workers.
+        self._index = DomainIndexSet(pool, compact_floor=compact_floor)
+        self.on_worker_added = self._index.on_worker_added  # type: ignore[method-assign]
+        self.on_worker_removed = self._index.on_worker_removed  # type: ignore[method-assign]
+        self.on_qualification_changed = self._index.on_qualification_changed  # type: ignore[method-assign]
+        self.on_load_changed = self._index.on_load_changed  # type: ignore[method-assign]
         super().__init__(pool)
-
-    @property
-    def engine(self) -> str:
-        """The active ranking engine (``indexed`` or ``reference``)."""
-        return self._engine
-
-    # -- index-invalidation hooks (no-ops under the reference engine) -- #
-    def on_worker_added(self, worker_id: str) -> None:
-        if self._index is not None:
-            self._index.on_worker_added(worker_id)
-
-    def on_worker_removed(self, worker_id: str) -> None:
-        if self._index is not None:
-            self._index.on_worker_removed(worker_id)
-
-    def on_qualification_changed(self, worker_id: str, domain: str) -> None:
-        if self._index is not None:
-            self._index.on_qualification_changed(worker_id, domain)
-
-    # -- ranking -------------------------------------------------------- #
-    def _iter_tier(self, domain: str, tier: QualificationTier) -> Iterator[ServingWorker]:
-        """The tier's members in pinned affinity order.
-
-        The index yields only members with spare capacity; the reference
-        yields every member, and :meth:`_pick` skips the saturated ones.
-        """
-        if self._index is not None:
-            return self._index.iter_tier(domain, tier)
-        candidates = [w for w in self._pool.workers if w.tier_on(domain) is tier]
-        candidates.sort(key=lambda w: affinity_rank_key(w.estimate_on(domain), w.worker_id))
-        return iter(candidates)
 
     def _pick(self, domain: str, n_votes: int, excluded: Optional[Set[str]]) -> List[str]:
         chosen: List[str] = []
         for tier in (QualificationTier.QUALIFIED, QualificationTier.FALLBACK):
-            for worker in self._iter_tier(domain, tier):
+            for worker in self._index.iter_tier(domain, tier):
                 if excluded is not None and worker.worker_id in excluded:
-                    continue
-                if not worker.has_capacity:
                     continue
                 self._pool.begin_assignment(worker.worker_id)
                 chosen.append(worker.worker_id)

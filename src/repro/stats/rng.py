@@ -79,15 +79,16 @@ def derive_seed(seed: SeedLike, *tokens: object) -> int:
 # --------------------------------------------------------------------- #
 # Counter-based streams (the answer-simulation hot path)
 # --------------------------------------------------------------------- #
-# The answer engines need one independent uniform stream per (worker, round)
+# Answer simulation needs one independent uniform stream per (worker, round)
 # so simulated answers are deterministic, order-independent and identical at
 # any process count.  Creating a ``numpy`` Generator per worker costs ~30us
 # each (SeedSequence entropy pooling), which would dominate the vectorized
 # round simulation; instead the streams are counter-based: a splitmix64 mix
 # of ``(root seed, worker token, round)`` yields a 64-bit stream seed, and
 # the ``t``-th uniform of a stream is a pure function of ``(seed, t)``.
-# Everything is elementwise, so the scalar (reference) and matrix
-# (vectorized) engines produce bit-identical draws.
+# Everything is elementwise, so drawing one stream at a time (the per-worker
+# test oracle) and drawing a whole matrix (the platform) give bit-identical
+# values.
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64 increment (odd, near 2^64/phi)
@@ -126,8 +127,8 @@ def counter_uniforms(seeds: object, n_draws: int, offset: int = 0) -> np.ndarray
     Returns a ``(len(seeds), n_draws)`` float64 matrix whose row ``i``
     contains draws ``offset``-th through ``(offset + n_draws - 1)``-th of the
     stream seeded by ``seeds[i]``.  Because each draw is a pure function of
-    ``(seed, index)``, requesting a stream in batches (the reference answer
-    engine) or as one block (the vectorized engine) yields identical values.
+    ``(seed, index)``, requesting a stream in batches (the per-worker test
+    oracle) or as one block (the platform) yields identical values.
     """
     if n_draws < 0:
         raise ValueError(f"n_draws must be non-negative, got {n_draws}")

@@ -19,9 +19,9 @@ Annotation Reliability"), so this module additionally ships:
 All behaviours are **exposure-pure**: the latent accuracy is a deterministic
 function of the cumulative training exposure (plus construction-time
 parameters), never of hidden RNG state.  That single property is what lets
-the platform's vectorized answer engine simulate a whole pool with one
-batched curve evaluation and one Bernoulli draw while remaining bit-identical
-to the per-worker reference loop.
+the platform's answer simulation cover a whole pool with one batched curve
+evaluation and one Bernoulli draw while remaining bit-identical to the
+per-worker loop it replaced (kept as a test oracle).
 
 The curve contract has two halves:
 
@@ -33,8 +33,8 @@ The curve contract has two halves:
 The scalar :meth:`WorkerBehavior.accuracy_at` delegates to
 :meth:`batch_accuracy` on a 1x1 matrix, so the two paths cannot drift apart.
 Third-party subclasses may instead override :meth:`accuracy_at` directly;
-the vectorized engine detects the missing batch implementation and falls
-back to a per-worker loop for those rows (correct, just slower).
+the batched answer simulation detects the missing batch implementation and
+falls back to a per-worker loop for those rows (correct, just slower).
 
 The learning curve is the modified IRT model the paper uses to build its
 synthetic datasets::

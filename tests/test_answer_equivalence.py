@@ -1,22 +1,21 @@
-"""Equivalence of the vectorized answer engine and the reference loop.
+"""Equivalence of the vectorized answer simulation and the per-worker oracle.
 
-The vectorized engine (pool-level accuracy matrix + one Bernoulli draw per
-round) must produce **bit-identical** correctness records to the per-worker
-reference loop — both consume the same counter-based per-(worker, round)
-streams and the same curve formulas — and, end to end, identical
-:class:`~repro.campaign.Campaign` reports on clean and contaminated pools.
-Mirrors ``tests/test_cpe_equivalence.py``.
+The platform (pool-level accuracy matrix + one Bernoulli draw per round)
+must produce **bit-identical** correctness records to the per-worker loop
+in ``tests/oracles/answers.py`` — both consume the same counter-based
+per-(worker, round) streams and the same curve formulas — and, end to end,
+identical :class:`~repro.campaign.Campaign` reports on clean and
+contaminated pools.  Mirrors ``tests/test_cpe_equivalence.py``.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import pytest
 
+from oracles.answers import evaluation_accuracies, use_round_answers
 from repro.campaign import Campaign
-from repro.platform.answers import ANSWER_ENGINES, simulate_round_answers, split_batches
+from repro.platform.answers import simulate_round_answers, split_batches
 from repro.platform.budget import compute_budget
 from repro.platform.session import AnnotationEnvironment
 from repro.platform.tasks import generate_task_bank
@@ -47,12 +46,18 @@ def contaminated_pool(n_workers: int = 24, seed: int = 0) -> WorkerPool:
     return WorkerPool(sample_learning_population(config, n_workers, rng=seed))
 
 
-def fresh_environment(pool: WorkerPool, engine: str, rng: int = 5, batch_size: int = 7) -> AnnotationEnvironment:
+def fresh_environment(pool: WorkerPool, rng: int = 5, batch_size: int = 7) -> AnnotationEnvironment:
     schedule = compute_budget(pool_size=len(pool), k=4, total_budget=len(pool) * 200)
     bank = generate_task_bank("t", n_learning=500, n_working=40, rng=1)
-    return AnnotationEnvironment(
-        pool, bank, schedule, ["p1", "p2"], rng=rng, batch_size=batch_size, answer_engine=engine
-    )
+    return AnnotationEnvironment(pool, bank, schedule, ["p1", "p2"], rng=rng, batch_size=batch_size)
+
+
+def learning_rounds(pool: WorkerPool, rng: int, batch_size: int):
+    environment = fresh_environment(pool, rng=rng, batch_size=batch_size)
+    return [
+        environment.run_learning_round(environment.worker_ids, tasks, round_index=index)
+        for index, tasks in enumerate([13, 0, 25], start=1)
+    ]
 
 
 class TestStreamPrimitives:
@@ -87,16 +92,13 @@ class TestStreamPrimitives:
 class TestRoundEquivalence:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("batch_size", [1, 7, 50])
-    def test_engines_bit_identical_on_contaminated_pools(self, seed, batch_size):
+    def test_engines_bit_identical_on_contaminated_pools(self, seed, batch_size, monkeypatch):
         pool = contaminated_pool(seed=seed)
-        records = {}
-        for engine in ANSWER_ENGINES:
-            environment = fresh_environment(pool, engine, rng=100 + seed, batch_size=batch_size)
-            records[engine] = [
-                environment.run_learning_round(environment.worker_ids, tasks, round_index=index)
-                for index, tasks in enumerate([13, 0, 25], start=1)
-            ]
-        for fast, reference in zip(records["vectorized"], records["reference"]):
+        vectorized = learning_rounds(pool, rng=100 + seed, batch_size=batch_size)
+        with monkeypatch.context() as patched:
+            use_round_answers(patched)
+            oracle = learning_rounds(pool, rng=100 + seed, batch_size=batch_size)
+        for fast, reference in zip(vectorized, oracle):
             assert fast.tasks_per_worker == reference.tasks_per_worker
             for worker_id in pool.worker_ids:
                 np.testing.assert_array_equal(
@@ -104,10 +106,13 @@ class TestRoundEquivalence:
                 )
 
     def test_simulate_round_answers_validates_engine(self):
+        # The engine switch is gone: the per-worker loop is a test oracle.
         pool = contaminated_pool()
         seeds = stream_seeds(0, token_hashes(pool.worker_ids), 1, 1)
+        with pytest.raises(TypeError):
+            simulate_round_answers(pool.workers, seeds, 5, 5, engine="reference")
         with pytest.raises(ValueError):
-            simulate_round_answers(pool.workers, seeds, 5, 5, engine="nope")
+            simulate_round_answers(pool.workers, seeds[:-1], 5, 5)
 
     def test_split_batches(self):
         assert split_batches(20, 7) == [7, 7, 6]
@@ -122,9 +127,9 @@ class TestRoundEquivalence:
         # A worker's answers in a round depend only on (seed, worker, round),
         # not on which other workers share the assignment.
         pool = contaminated_pool()
-        full = fresh_environment(pool, "vectorized")
+        full = fresh_environment(pool)
         record_full = full.run_learning_round(pool.worker_ids, 10)
-        some = fresh_environment(pool, "vectorized")
+        some = fresh_environment(pool)
         record_some = some.run_learning_round(pool.worker_ids[:5], 10)
         for worker_id in pool.worker_ids[:5]:
             np.testing.assert_array_equal(
@@ -133,14 +138,14 @@ class TestRoundEquivalence:
 
     def test_repeated_runs_byte_identical(self):
         pool = contaminated_pool()
-        first = fresh_environment(pool, "vectorized").run_learning_round(pool.worker_ids, 15)
-        second = fresh_environment(pool, "vectorized").run_learning_round(pool.worker_ids, 15)
+        first = fresh_environment(pool).run_learning_round(pool.worker_ids, 15)
+        second = fresh_environment(pool).run_learning_round(pool.worker_ids, 15)
         for worker_id in pool.worker_ids:
             np.testing.assert_array_equal(first.correctness[worker_id], second.correctness[worker_id])
 
     def test_unknown_worker_rejected(self):
         pool = contaminated_pool()
-        environment = fresh_environment(pool, "vectorized")
+        environment = fresh_environment(pool)
         with pytest.raises(KeyError):
             environment.run_learning_round(["nope"], 5)
 
@@ -148,7 +153,7 @@ class TestRoundEquivalence:
         # A repeated round index would replay the previous round's uniform
         # streams; it must be rejected before any exposure advances.
         pool = contaminated_pool()
-        environment = fresh_environment(pool, "vectorized")
+        environment = fresh_environment(pool)
         environment.run_learning_round(pool.worker_ids, 5, round_index=2)
         with pytest.raises(ValueError):
             environment.run_learning_round(pool.worker_ids, 5, round_index=2)
@@ -160,19 +165,14 @@ class TestRoundEquivalence:
 class TestEvaluationEquivalence:
     def test_empirical_evaluation_identical_across_engines(self):
         pool = contaminated_pool()
-        outcomes = {
-            engine: fresh_environment(pool, engine).evaluate_selection(
-                pool.worker_ids[:6], empirical=True, n_working_tasks=200
-            )
-            for engine in ANSWER_ENGINES
-        }
-        assert (
-            outcomes["vectorized"].per_worker_accuracy == outcomes["reference"].per_worker_accuracy
-        )
+        environment = fresh_environment(pool)
+        selection = pool.worker_ids[:6]
+        outcome = environment.evaluate_selection(selection, empirical=True, n_working_tasks=200)
+        assert outcome.per_worker_accuracy == evaluation_accuracies(environment, selection, 200)
 
     def test_empirical_evaluation_independent_of_selection_order(self):
         pool = contaminated_pool()
-        environment = fresh_environment(pool, "vectorized")
+        environment = fresh_environment(pool)
         forward = environment.evaluate_selection(pool.worker_ids[:4], empirical=True, n_working_tasks=50)
         backward = environment.evaluate_selection(
             list(reversed(pool.worker_ids[:4])), empirical=True, n_working_tasks=50
@@ -181,7 +181,7 @@ class TestEvaluationEquivalence:
 
     def test_zero_working_tasks_degrades_to_latent(self):
         pool = contaminated_pool()
-        environment = fresh_environment(pool, "vectorized")
+        environment = fresh_environment(pool)
         selection = pool.worker_ids[:3]
         degenerate = environment.evaluate_selection(selection, empirical=True, n_working_tasks=0)
         latent = environment.evaluate_selection(selection)
@@ -190,13 +190,13 @@ class TestEvaluationEquivalence:
 
     def test_negative_working_tasks_rejected(self):
         pool = contaminated_pool()
-        environment = fresh_environment(pool, "vectorized")
+        environment = fresh_environment(pool)
         with pytest.raises(ValueError):
             environment.evaluate_selection(pool.worker_ids[:2], n_working_tasks=-1)
 
     def test_latent_evaluation_matches_final_accuracy(self):
         pool = contaminated_pool()
-        environment = fresh_environment(pool, "vectorized")
+        environment = fresh_environment(pool)
         outcome = environment.evaluate_selection(pool.worker_ids[:5])
         for worker_id, value in outcome.per_worker_accuracy.items():
             assert value == environment.final_accuracy(worker_id)
@@ -206,30 +206,16 @@ class TestEvaluationEquivalence:
 def test_campaign_reports_identical_across_engines(dataset, monkeypatch):
     """Full Campaign.run(): the vectorization changes nothing, bit for bit.
 
-    The reference engine is selected only by the environment constructor,
-    so the campaign's datasets are handed an environment class with the
-    engine pre-bound.
+    No setting selects the oracle, so the second run patches it in where
+    the environment simulates a round.
     """
-    reports = {}
-    for engine in ANSWER_ENGINES:
-        monkeypatch.setattr(
-            "repro.datasets.base.AnnotationEnvironment",
-            functools.partial(AnnotationEnvironment, answer_engine=engine),
-        )
-        campaign = Campaign(dataset=dataset, selector="ours", seed=11, cpe_epochs=4)
-        reports[engine] = campaign.run()
-        assert campaign._environment.answer_engine == engine
-    assert reports["vectorized"].to_dict() == reports["reference"].to_dict()
+    vectorized = Campaign(dataset=dataset, selector="ours", seed=11, cpe_epochs=4).run()
+    use_round_answers(monkeypatch)
+    oracle = Campaign(dataset=dataset, selector="ours", seed=11, cpe_epochs=4).run()
+    assert vectorized.to_dict() == oracle.to_dict()
 
 
-def test_campaign_default_engine_is_vectorized():
-    campaign = Campaign(dataset="S-1", selector="us", seed=0)
-    campaign.run()
-    assert campaign._environment.answer_engine == "vectorized"
-    assert campaign._environment.summary()["answer_engine"] == "vectorized"
-
-
-@pytest.mark.parametrize("engine", ANSWER_ENGINES)
+@pytest.mark.parametrize("engine", ["vectorized", "reference"])
 def test_legacy_answer_engine_checkpoint_restores(engine):
     """Checkpoints that still carry the retired ``answer_engine`` key resume."""
     campaign = Campaign(dataset="S-1", selector="me", seed=3)

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.cpe import log_likelihood, use_scalar_likelihood
 from repro.core.cpe import CPEConfig, CrossDomainPerformanceEstimator
+from repro.stats.mvn import MultivariateNormalModel
 
 
 def make_estimator(posterior="counts", n_epochs=3, rng=0, **kwargs) -> CrossDomainPerformanceEstimator:
@@ -42,11 +44,9 @@ class TestConfigValidation:
             CPEConfig(n_quadrature_nodes=1)
 
     def test_invalid_likelihood_engine(self):
-        with pytest.raises(ValueError):
-            CPEConfig(likelihood_engine="gpu")
-
-    def test_default_engine_is_vectorized(self):
-        assert CPEConfig().likelihood_engine == "vectorized"
+        # The engine switch is gone: the scalar likelihood is a test oracle.
+        with pytest.raises(TypeError):
+            CPEConfig(likelihood_engine="reference")
 
 
 class TestInitialisation:
@@ -93,8 +93,8 @@ class TestLikelihood:
     def test_likelihood_is_finite(self):
         estimator = make_estimator()
         estimator.initialize(example_profiles())
-        value = estimator.log_likelihood(
-            estimator.model, example_profiles(), np.array([8, 6, 5, 2]), np.array([2, 4, 5, 8])
+        value = log_likelihood(
+            estimator, estimator.model, example_profiles(), np.array([8, 6, 5, 2]), np.array([2, 4, 5, 8])
         )
         assert np.isfinite(value)
 
@@ -107,31 +107,31 @@ class TestLikelihood:
         model = estimator.model
         correct = np.array([18, 13, 10, 6])
         wrong = np.array([2, 7, 10, 14])
-        consistent = estimator.log_likelihood(model, example_profiles(), correct, wrong)
-        inconsistent = estimator.log_likelihood(model, example_profiles(), wrong, correct)
+        consistent = log_likelihood(estimator, model, example_profiles(), correct, wrong)
+        inconsistent = log_likelihood(estimator, model, example_profiles(), wrong, correct)
         assert consistent > inconsistent
 
     def test_misaligned_inputs_rejected(self):
         estimator = make_estimator()
         estimator.initialize(example_profiles())
         with pytest.raises(ValueError):
-            estimator.log_likelihood(estimator.model, example_profiles(), np.array([1, 2]), np.array([1, 2]))
+            log_likelihood(estimator, estimator.model, example_profiles(), np.array([1, 2]), np.array([1, 2]))
 
     def test_negative_counts_rejected(self):
         estimator = make_estimator()
         estimator.initialize(example_profiles())
         with pytest.raises(ValueError):
-            estimator.log_likelihood(
-                estimator.model, example_profiles(), np.array([-1, 0, 0, 0]), np.zeros(4)
-            )
+            log_likelihood(estimator, estimator.model, example_profiles(), np.array([-1, 0, 0, 0]), np.zeros(4))
 
     def test_large_counts_do_not_underflow(self):
         estimator = make_estimator()
         estimator.initialize(example_profiles())
-        value = estimator.log_likelihood(
-            estimator.model, example_profiles(), np.array([300, 200, 150, 100]), np.array([20, 120, 170, 220])
-        )
-        assert np.isfinite(value)
+        correct, wrong = np.array([300, 200, 150, 100]), np.array([20, 120, 170, 220])
+        assert np.isfinite(log_likelihood(estimator, estimator.model, example_profiles(), correct, wrong))
+        # The library's own likelihood, which the update descends, too.
+        data = estimator.prepare_round(example_profiles(), correct, wrong)
+        theta = MultivariateNormalModel.canonicalise(estimator.model.pack_parameters()[None, :], 4)
+        assert np.isfinite(estimator.objective_stack(theta, data)[0])
 
 
 class TestUpdate:
@@ -141,9 +141,9 @@ class TestUpdate:
         correct = np.array([17, 12, 9, 5])
         wrong = np.array([3, 8, 11, 15])
         estimator.initialize(profiles)
-        before = estimator.log_likelihood(estimator.model, profiles, correct, wrong)
+        before = log_likelihood(estimator, estimator.model, profiles, correct, wrong)
         estimator.update(profiles, correct, wrong)
-        after = estimator.log_likelihood(estimator.model, profiles, correct, wrong)
+        after = log_likelihood(estimator, estimator.model, profiles, correct, wrong)
         assert after >= before - 1e-6
 
     def test_update_initialises_lazily(self):
@@ -250,14 +250,17 @@ class TestRoundData:
         )
         np.testing.assert_allclose(data.binomial_term, expected)
 
-    def test_update_with_both_engines_improves_likelihood(self):
+    def test_update_with_both_engines_improves_likelihood(self, monkeypatch):
         profiles = example_profiles()
         correct = np.array([17, 12, 9, 5])
         wrong = np.array([3, 8, 11, 15])
-        for engine in ("reference", "vectorized"):
-            estimator = make_estimator(n_epochs=6, rng=2, likelihood_engine=engine)
-            estimator.initialize(profiles)
-            before = estimator.log_likelihood(estimator.model, profiles, correct, wrong)
-            estimator.update(profiles, correct, wrong)
-            after = estimator.log_likelihood(estimator.model, profiles, correct, wrong)
-            assert after >= before - 1e-6, engine
+        for oracle in (True, False):
+            with monkeypatch.context() as patched:
+                if oracle:
+                    use_scalar_likelihood(patched)
+                estimator = make_estimator(n_epochs=6, rng=2)
+                estimator.initialize(profiles)
+                before = log_likelihood(estimator, estimator.model, profiles, correct, wrong)
+                estimator.update(profiles, correct, wrong)
+                after = log_likelihood(estimator, estimator.model, profiles, correct, wrong)
+            assert after >= before - 1e-6, oracle

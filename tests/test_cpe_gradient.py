@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import repro.core.cpe as cpe_module
 import repro.stats.mvn as mvn_module
+from oracles.cpe import use_scalar_likelihood
 from repro.campaign import Campaign
 from repro.core.cpe import CPEConfig, CrossDomainPerformanceEstimator
 from repro.stats.mvn import MultivariateNormalModel
@@ -257,16 +258,12 @@ def test_campaign_updates_take_the_analytic_path(monkeypatch):
 
 @pytest.mark.parametrize("dataset", ["RW-1", "S-1"])
 def test_reference_engine_keeps_finite_differences(dataset, monkeypatch):
-    """The scalar ``reference`` engine is the oracle: it never calls the closed form."""
+    """The scalar oracle (``tests/oracles/cpe.py``) never calls the closed form."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the closed-form gradient ran")
 
     monkeypatch.setattr(CrossDomainPerformanceEstimator, "_log_likelihood_gradient", forbidden)
-    report = Campaign(
-        dataset=dataset,
-        selector="ours",
-        seed=3,
-        cpe_config=CPEConfig(n_epochs=3, likelihood_engine="reference"),
-    ).run()
+    use_scalar_likelihood(monkeypatch)
+    report = Campaign(dataset=dataset, selector="ours", seed=3, cpe_config=CPEConfig(n_epochs=3)).run()
     assert len(report.selected_worker_ids) == report.k

@@ -2,9 +2,10 @@
 
 ``Marketplace.answer`` draws one campaign-tick's answers in one call, and
 ``Marketplace.admit_arrivals`` one tick's prestudy in one block.  The
-scalar form below is the specification they replace: one stream seed,
-one counter-based uniform and one ``accuracy_at`` per vote (per question
-for the prestudy).  The batched draws must equal it bit for bit over
+scalar form (``scalar_answer`` in ``tests/oracles/answers.py``, and the
+per-arrival prestudy below) is the specification they replace: one
+stream seed, one counter-based uniform and one ``accuracy_at`` per vote
+(per question for the prestudy).  The batched draws must equal it bit for bit over
 mixed behaviours, starting counts, repeated workers and off-target
 domains.  CI also runs this file under the ``deep`` hypothesis profile.
 """
@@ -17,6 +18,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.answers import scalar_answer
 from repro.datasets.registry import get_spec
 from repro.marketplace.orchestrator import (
     ARRIVAL_BLOCK,
@@ -102,17 +104,6 @@ def build_market(specs, seed: int) -> Marketplace:
             answer_counts={campaign: count for campaign, count in zip(CAMPAIGNS, counts) if count},
         )
     return market
-
-
-def scalar_answer(answer_seed: int, worker: MarketWorker, count: int, task: Task, campaign: str) -> bool:
-    """One vote the scalar way: its own seed, one uniform, one ``accuracy_at``."""
-    if worker.behavior is not None and task.domain == worker.target_domain:
-        accuracy = float(worker.behavior.accuracy_at(worker.exposure_offset + count))
-    else:
-        accuracy = worker.accuracies.get(task.domain, 0.5)
-    seed = stream_seeds(answer_seed, token_hashes([worker.worker_id]), int(token_hashes([campaign])[0]))
-    draw = counter_uniforms(seed, 1, offset=count)[0, 0]
-    return bool(task.gold_label) if draw < accuracy else not bool(task.gold_label)
 
 
 @st.composite

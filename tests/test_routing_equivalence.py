@@ -1,23 +1,24 @@
-"""Indexed-vs-reference routing equivalence, index internals, and churn hooks.
+"""Indexed-vs-oracle routing equivalence, index internals, and churn hooks.
 
-The ``domain_affinity`` policy ships two engines: ``indexed`` (pre-sorted
-per-(domain, tier) rankings maintained from the pool event bus) and
-``reference`` (re-sort the pool per task).  These tests hold the two
-byte-identical — per pick, per report, and end-to-end through marketplace
-churn — and pin the contracts the index relies on: the pool change-event
-bus, the pinned affinity tie-break, the capacity parking and re-admission
-of the qualification indexes (and the O(votes) walk it buys), and the
-lazy-delete/compaction bookkeeping of both those indexes and the
-least-loaded heap.
+The ``domain_affinity`` policy walks pre-sorted per-(domain, tier)
+rankings maintained from the pool event bus; its test oracle,
+``ReferenceAffinityRouter`` (``tests/oracles/routing.py``), re-sorts each
+tier per task.  These tests hold the two byte-identical — per pick, per
+report, and end-to-end through marketplace churn — and pin the contracts
+the index relies on: the pool change-event bus, the pinned affinity
+tie-break, the capacity parking and re-admission of the qualification
+indexes (and the O(votes) walk it buys), and the lazy-delete/compaction
+bookkeeping of both those indexes and the least-loaded heap.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 
+import numpy as np
 import pytest
 
+from oracles.routing import ReferenceAffinityRouter
 from repro.marketplace import ChurnConfig, MarketplaceConfig, MarketplaceOrchestrator
 from repro.marketplace.lifecycle import CampaignSpec
 from repro.platform.tasks import Task, TaskKind
@@ -57,17 +58,14 @@ def worker(worker_id, estimate=0.9, tier=QUALIFIED, max_concurrent=8, questions=
 
 @pytest.fixture
 def route_affinity_through_reference():
-    """Switch every registry ``domain_affinity`` router to the reference engine.
+    """Switch every registry ``domain_affinity`` router to the scan-and-sort oracle.
 
-    The engine is selected only by the router constructor, so end-to-end
-    runs reach the oracle by re-registering the factory; the built-in is
-    restored after the test.
+    No setting selects the oracle, so end-to-end runs reach it by
+    re-registering the factory; the built-in is restored after the test.
     """
 
     def switch():
-        register_router(
-            "domain_affinity", functools.partial(DomainAffinityRouter, engine="reference"), replace=True
-        )
+        register_router("domain_affinity", ReferenceAffinityRouter, replace=True)
 
     yield switch
     register_router("domain_affinity", DomainAffinityRouter, replace=True)
@@ -86,14 +84,40 @@ def make_task(index, domain=DOMAIN, gold=True):
     return Task(task_id=f"t{index:04d}", domain=domain, kind=TaskKind.WORKING, gold_label=gold)
 
 
-def paired_engines(accuracies, max_concurrent=8, **router_config):
-    """Two identical pools, one routed by each engine."""
+#: The indexed router and its oracle, in that order.
+AFFINITY_ROUTERS = (DomainAffinityRouter, ReferenceAffinityRouter)
+
+
+def paired_routers(accuracies, max_concurrent=8, tiers=None):
+    """Two identical pools, one routed by the index and one by the oracle."""
+    tiers = tiers or [QUALIFIED] * len(accuracies)
     pools, routers = [], []
-    for engine in DomainAffinityRouter.ENGINES:
-        pool = make_pool(accuracies, max_concurrent=max_concurrent)
+    for router_class in AFFINITY_ROUTERS:
+        pool = ServingPool(
+            [
+                worker(f"w{index}", estimate, tier=tier, max_concurrent=max_concurrent)
+                for index, (estimate, tier) in enumerate(zip(accuracies, tiers))
+            ]
+        )
         pools.append(pool)
-        routers.append(make_router("domain_affinity", pool, engine=engine, **router_config))
+        routers.append(router_class(pool))
     return pools, routers
+
+
+def churn_shape(name):
+    """``(accuracies, tiers, max_concurrent, n_tasks)`` of one churn-test pool.
+
+    ``10-workers``: ten evenly spaced estimates, all qualified.
+    ``64-workers-fallback``: 64 normal(0.75, 0.1) estimates with about a
+    fifth of the workers in the fallback tier, so demotions and fallback
+    spill-over interleave with the churn.
+    """
+    if name == "10-workers":
+        return [0.5 + 0.04 * index for index in range(10)], None, 3, 120
+    rng = np.random.default_rng(0)
+    accuracies = np.clip(rng.normal(0.75, 0.1, size=64), 0.05, 0.95).tolist()
+    tiers = [FALLBACK if draw < 0.2 else QUALIFIED for draw in rng.uniform(size=64)]
+    return accuracies, tiers, 8, 500
 
 
 def settle(pools, picks):
@@ -106,28 +130,29 @@ def settle(pools, picks):
 class TestEngineEquivalence:
     def test_static_pool_picks_identical(self):
         accuracies = [0.62, 0.95, 0.71, 0.95, 0.55, 0.88]
-        pools, (indexed, reference) = paired_engines(accuracies, max_concurrent=2)
+        pools, (indexed, reference) = paired_routers(accuracies, max_concurrent=2)
         for task in range(40):
             picks = [indexed.route(DOMAIN, 3), reference.route(DOMAIN, 3)]
             assert picks[0] == picks[1]
             settle(pools, picks)
         assert pools[0].load_snapshot() == pools[1].load_snapshot()
 
-    def test_equivalence_under_demotion_and_churn(self):
-        # The scripted churn the tentpole demands: demotions, departures and
-        # re-admissions interleaved with routing, both engines in lockstep.
-        accuracies = [0.5 + 0.04 * index for index in range(10)]
-        pools, routers = paired_engines(accuracies, max_concurrent=3)
+    @pytest.mark.parametrize("shape", ["10-workers", "64-workers-fallback"])
+    def test_equivalence_under_demotion_and_churn(self, shape):
+        # Scripted churn: demotions, departures and re-admissions
+        # interleaved with routing, index and oracle in lockstep.
+        accuracies, tiers, max_concurrent, n_tasks = churn_shape(shape)
+        pools, routers = paired_routers(accuracies, max_concurrent=max_concurrent, tiers=tiers)
         removed = {}
         next_id = len(accuracies)
-        for task in range(120):
+        for task in range(n_tasks):
             picks = []
             for router in routers:
                 try:
                     picks.append(router.route(DOMAIN, 3))
                 except NoEligibleWorkersError:
                     picks.append(None)
-            assert picks[0] == picks[1], f"engines diverged at task {task}"
+            assert picks[0] == picks[1], f"index and oracle diverged at task {task}"
             if picks[0] is None:
                 continue
             settle(pools, picks)
@@ -145,12 +170,12 @@ class TestEngineEquivalence:
                 else:
                     estimate = 0.5 + (next_id % 7) * 0.05
                     for pool in pools:
-                        pool.add_worker(worker(f"w{next_id}", estimate, max_concurrent=3))
+                        pool.add_worker(worker(f"w{next_id}", estimate, max_concurrent=max_concurrent))
                     next_id += 1
         assert pools[0].load_snapshot() == pools[1].load_snapshot()
 
     def test_route_excluding_identical_across_engines(self):
-        pools, (indexed, reference) = paired_engines([0.9, 0.8, 0.85, 0.7], max_concurrent=2)
+        pools, (indexed, reference) = paired_routers([0.9, 0.8, 0.85, 0.7], max_concurrent=2)
         exclude = {"w0", "w2"}
         picks = [
             indexed.route_excluding(DOMAIN, 2, exclude),
@@ -177,7 +202,7 @@ class TestEngineEquivalence:
     def test_service_trace_byte_identical_with_mid_run_demotions(self, route_affinity_through_reference):
         # End-to-end through AnnotationService: a drifting worker forces
         # demotions mid-run, and the full serialized trace — every
-        # assignment, answer, label, demotion — must not depend on engine.
+        # assignment, answer, label, demotion — must not depend on which router ran.
         def run():
             pool = make_pool([0.9, 0.8, 0.7], max_concurrent=8)
             config = ServingConfig(
@@ -199,18 +224,18 @@ class TestEngineEquivalence:
             service = AnnotationService(pool, config, answer_oracle=oracle)
             report = service.serve([make_task(i) for i in range(60)])
             assert report.demotions  # the run genuinely exercised demotion
-            return service._router.engine, json.dumps(report.trace_dict(), sort_keys=True)
+            return type(service._router), json.dumps(report.trace_dict(), sort_keys=True)
 
-        indexed_engine, indexed = run()
+        indexed_router, indexed = run()
         route_affinity_through_reference()
-        reference_engine, reference = run()
-        assert (indexed_engine, reference_engine) == ("indexed", "reference")
+        reference_router, reference = run()
+        assert (indexed_router, reference_router) == AFFINITY_ROUTERS
         assert indexed == reference
 
     def test_marketplace_run_identical_across_engines(self, route_affinity_through_reference):
         # Open-world churn end to end: arrivals, departures, requalification
         # and drift all flow through the event bus, and the orchestrator
-        # report must be identical whichever engine routed every vote.
+        # report must be identical whichever router routed every vote.
         def run():
             orchestrator = MarketplaceOrchestrator(
                 [CampaignSpec(name="alpha", dataset="S-1", selector="us", k=5, seed=1)],
@@ -220,12 +245,12 @@ class TestEngineEquivalence:
             )
             report = orchestrator.run(40).to_dict()
             report.pop("elapsed_s")
-            return orchestrator._handles[0].service._router.engine, report
+            return type(orchestrator._handles[0].service._router), report
 
-        indexed_engine, indexed = run()
+        indexed_router, indexed = run()
         route_affinity_through_reference()
-        reference_engine, reference = run()
-        assert (indexed_engine, reference_engine) == ("indexed", "reference")
+        reference_router, reference = run()
+        assert (indexed_router, reference_router) == AFFINITY_ROUTERS
         assert indexed == reference
 
 
@@ -428,7 +453,7 @@ class TestDomainIndexSet:
         walk = index.iter_tier(DOMAIN, QUALIFIED)
         assert next(walk).worker_id == "w1"  # w0 parked on the way
         # w0 re-enters behind the walk, w3 ahead of it: like the live
-        # capacity check of the reference engine, the walk neither repeats
+        # capacity check of the scan-and-sort oracle, the walk neither repeats
         # nor revisits what it passed, and reaches what lies ahead.
         pool.complete_assignment("w0")
         pool.complete_assignment("w3")
@@ -563,19 +588,19 @@ class TestSharedWorkers:
 
     def test_demotion_through_one_pool_reranks_the_other(self):
         picks = {}
-        for engine in DomainAffinityRouter.ENGINES:
+        for router_class in AFFINITY_ROUTERS:
             shared = [worker("w0", 0.9), worker("w1", 0.8)]
             pool_a, pool_b = ServingPool(shared), ServingPool(shared)
-            router_b = DomainAffinityRouter(pool_b, engine=engine)
+            router_b = router_class(pool_b)
             router_b.route(DOMAIN, 1)  # materialises B's index
             pool_b.complete_assignment("w0")
             pool_a.demote("w0", DOMAIN)  # QUALIFIED -> FALLBACK, through A only
             pool_a.demote("w1", DOMAIN)
             try:
-                picks[engine] = router_b.route(DOMAIN, 2)
+                picks[router_class] = router_b.route(DOMAIN, 2)
             except NoEligibleWorkersError:
-                picks[engine] = "exhausted"
-        assert picks == {"indexed": ["w0", "w1"], "reference": ["w0", "w1"]}
+                picks[router_class] = "exhausted"
+        assert picks == {DomainAffinityRouter: ["w0", "w1"], ReferenceAffinityRouter: ["w0", "w1"]}
 
     def test_worker_write_reaches_every_pool_holding_it(self):
         recorders = [TestPoolEventBus.Recorder() for _ in range(3)]
@@ -666,9 +691,9 @@ class TestPinnedTieBreak:
     def test_ranking_frozen_across_the_votes_of_one_task(self):
         # Charging the first vote must not re-rank the remaining votes —
         # the ranking is a pure function of qualification state.
-        for engine in DomainAffinityRouter.ENGINES:
+        for router_class in AFFINITY_ROUTERS:
             fresh = make_pool([0.9, 0.9], max_concurrent=8)
-            router = make_router("domain_affinity", fresh, engine=engine)
+            router = router_class(fresh)
             assert router.route(DOMAIN, 2) == ["w0", "w1"]
 
     def test_saturated_top_worker_spills_to_next_rank(self):
@@ -709,14 +734,16 @@ class TestTrackerForget:
 
 
 class TestEngineConfiguration:
+    """The library ships one ranking; the scan-and-sort oracle stays in the tests."""
+
     def test_router_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            make_router("domain_affinity", make_pool([0.9]), engine="bogus")
+        for engine in ("bogus", "reference", "indexed"):
+            with pytest.raises(TypeError, match="invalid configuration"):
+                make_router("domain_affinity", make_pool([0.9]), engine=engine)
 
     def test_reference_engine_carries_no_index(self):
-        router = make_router("domain_affinity", make_pool([0.9]), engine="reference")
-        assert router.engine == "reference"
-        assert router._index is None
+        # The oracle must not share the index it is held against.
+        oracle = ReferenceAffinityRouter(make_pool([0.9]))
+        assert not hasattr(oracle, "_index")
         indexed = make_router("domain_affinity", make_pool([0.9]))
-        assert indexed.engine == "indexed"
         assert isinstance(indexed._index, DomainIndexSet)

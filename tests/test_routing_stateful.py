@@ -9,10 +9,11 @@ program announces a change on the other pool by hand; the worker's own
 announcement must reach it.
 
 * ``AffinityDifferential`` runs the program on two worlds: one routes with
-  the capacity-parking :class:`~repro.serving.index.DomainIndexSet`, the
-  other with ``DomainAffinityRouter(engine="reference")``.  Every pick must
-  agree, and every indexed tier ranking of every pool must equal the
-  oracle's.
+  :class:`~repro.serving.routing.DomainAffinityRouter` and its
+  capacity-parking :class:`~repro.serving.index.DomainIndexSet`, the other
+  with the scan-and-sort ``ReferenceAffinityRouter`` oracle
+  (``tests/oracles/routing.py``).  Every pick must agree, and every indexed
+  tier ranking of every pool must equal the oracle's.
 * ``LeastLoadedShared`` runs it on one world routed by ``least_loaded``;
   every pick must be the brute-force minimum of
   ``(active, assigned_total, worker_id)`` over the eligible workers with
@@ -35,9 +36,10 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from oracles.routing import ReferenceAffinityRouter, affinity_ranking, least_loaded_picks, round_robin_walk
 from repro.serving.index import INDEXED_TIERS
 from repro.serving.pool import ServingPool, ServingWorker
-from repro.serving.qualification import DomainQualification, QualificationTier, affinity_rank_key
+from repro.serving.qualification import DomainQualification, QualificationTier
 from repro.serving.routing import (
     BaseRouter,
     DomainAffinityRouter,
@@ -205,7 +207,7 @@ class SharedPoolMachine(RuleBasedStateMachine):
 
 
 class AffinityDifferential(SharedPoolMachine):
-    """The indexed ``domain_affinity`` engine against its reference oracle."""
+    """The indexed ``domain_affinity`` router against its scan-and-sort oracle."""
 
     @initialize(
         specs=st.lists(worker_spec, min_size=2, max_size=8),
@@ -216,7 +218,7 @@ class AffinityDifferential(SharedPoolMachine):
         membership = self.draw_membership(specs, data)
         self.worlds = (
             World(lambda pool: DomainAffinityRouter(pool, compact_floor=compact_floor), specs, membership),
-            World(lambda pool: DomainAffinityRouter(pool, engine="reference"), specs, membership),
+            World(ReferenceAffinityRouter, specs, membership),
         )
         self.next_id = len(specs)
 
@@ -253,36 +255,12 @@ class AffinityDifferential(SharedPoolMachine):
             for domain in DOMAINS:
                 for tier in INDEXED_TIERS:
                     walked = [w.worker_id for w in indexed.routers[name]._index.iter_tier(domain, tier)]
-                    ranked = sorted(
-                        (w for w in reference.pools[name].workers if w.tier_on(domain) is tier and w.has_capacity),
-                        key=lambda w: affinity_rank_key(w.estimate_on(domain), w.worker_id),
-                    )
-                    assert walked == [w.worker_id for w in ranked], (name, domain, tier)
-
-
-def least_loaded_picks(pool: ServingPool, domain: str, n_votes: int) -> List[str]:
-    """Brute force: ``n_votes`` successive minima of the live load key.
-
-    Each pick is the minimum ``(active, assigned_total, worker_id)`` over the
-    eligible workers with spare capacity not picked yet; a pick is charged
-    before the next one is taken.
-    """
-    load = {w.worker_id: (w.active, w.assigned_total) for w in pool.workers}
-    chosen: List[str] = []
-    for _ in range(n_votes):
-        candidates = [
-            (*load[w.worker_id], w.worker_id)
-            for w in pool.workers
-            if w.worker_id not in chosen
-            and w.tier_on(domain) >= QualificationTier.FALLBACK
-            and load[w.worker_id][0] < w.max_concurrent
-        ]
-        if not candidates:
-            break
-        active, assigned, worker_id = min(candidates)
-        load[worker_id] = (active + 1, assigned + 1)
-        chosen.append(worker_id)
-    return chosen
+                    ranked = [
+                        w.worker_id
+                        for w in affinity_ranking(reference.pools[name], domain, tier)
+                        if w.has_capacity
+                    ]
+                    assert walked == ranked, (name, domain, tier)
 
 
 class LeastLoadedShared(SharedPoolMachine):
@@ -312,25 +290,6 @@ class LeastLoadedShared(SharedPoolMachine):
         expected = [worker_id for worker_id in over if worker_id not in exclude][:n_votes]
         assert world.route(name, domain, n_votes, exclude) == expected
         self.in_flight.extend((name, worker_id) for worker_id in expected)
-
-
-def round_robin_walk(pool: ServingPool, domain: str, n_votes: int, cursor: int) -> Tuple[List[str], int]:
-    """Brute force: walk ``pool.worker_ids`` once from ``cursor``; return the picks and the new cursor.
-
-    A worker is picked when it is eligible on ``domain`` and has spare
-    capacity; every visited position advances the cursor, and the walk
-    stops at ``n_votes`` picks or after one lap.
-    """
-    order = pool.worker_ids
-    chosen: List[str] = []
-    for _ in range(len(order)):
-        if len(chosen) == n_votes:
-            break
-        worker = pool[order[cursor % len(order)]]
-        cursor += 1
-        if worker.tier_on(domain) >= QualificationTier.FALLBACK and worker.active < worker.max_concurrent:
-            chosen.append(worker.worker_id)
-    return chosen, cursor
 
 
 class RoundRobinShared(SharedPoolMachine):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.aggregation.dawid_skene import DawidSkeneAggregator
 from repro.aggregation.majority import majority_vote
@@ -25,6 +27,48 @@ def sparse_stream(n_workers=12, n_tasks=60, seed=0, min_votes=3, max_votes=7):
             matrix[worker, task] = float(answer)
             stream.append((f"t{task:03d}", f"w{worker:02d}", answer))
     return stream, matrix, gold
+
+
+#: Stream shapes the property draws: one vote per task, one worker in
+#: all, every voter on a task agreeing, and every task split evenly.
+DEGENERATE_SHAPES = ("single-vote", "one-worker", "unanimous", "tied")
+
+
+@st.composite
+def degenerate_streams(draw):
+    """A degenerate answer stream plus its dense (workers x tasks) matrix.
+
+    Every drawn worker answers at least once, so the matrix has no empty
+    rows; tasks arrive in order, each task's voters in worker order.
+    """
+    shape = draw(st.sampled_from(DEGENERATE_SHAPES))
+    n_workers = 1 if shape == "one-worker" else draw(st.integers(2 if shape == "tied" else 1, 6))
+    n_tasks = draw(st.integers(1, 12))
+    votes = []
+    for _ in range(n_tasks):
+        if shape == "single-vote":
+            voters = [draw(st.integers(0, n_workers - 1))]
+        elif shape == "tied":
+            size = 2 * draw(st.integers(1, n_workers // 2))
+            voters = sorted(draw(st.permutations(range(n_workers)))[:size])
+        else:
+            voters = sorted(draw(st.sets(st.integers(0, n_workers - 1), min_size=1)))
+        if shape == "unanimous":
+            answers = [draw(st.booleans())] * len(voters)
+        elif shape == "tied":
+            answers = draw(st.permutations([True] * (len(voters) // 2) + [False] * (len(voters) // 2)))
+        else:
+            answers = [draw(st.booleans()) for _ in voters]
+        votes.append(list(zip(voters, answers)))
+    active = sorted({worker for task in votes for worker, _ in task})
+    rows = {worker: row for row, worker in enumerate(active)}
+    matrix = np.full((len(active), n_tasks), np.nan)
+    stream = []
+    for task, task_votes in enumerate(votes):
+        for worker, answer in task_votes:
+            matrix[rows[worker], task] = float(answer)
+            stream.append((f"t{task:03d}", f"w{rows[worker]:02d}", answer))
+    return stream, matrix
 
 
 class TestOnlineMajorityVote:
@@ -71,6 +115,26 @@ class TestIncrementalDawidSkene:
             assert np.array_equal(result.labels, batch.labels[order])
             assert result.n_iterations == batch.n_iterations
             assert result.converged == batch.converged
+
+    @given(degenerate_streams())
+    def test_converge_matches_batch_on_degenerate_streams(self, case):
+        stream, matrix = case
+        incremental = IncrementalDawidSkene()
+        for task_id, worker_id, answer in stream:
+            incremental.add(task_id, worker_id, answer)
+        batch = DawidSkeneAggregator().aggregate(matrix)
+        result = incremental.converge()
+        task_order = [int(task_id[1:]) for task_id in incremental.task_ids]
+        worker_order = [int(worker_id[1:]) for worker_id in incremental.worker_ids]
+        np.testing.assert_allclose(
+            result.posterior_positive, batch.posterior_positive[task_order], atol=1e-8, rtol=0
+        )
+        np.testing.assert_allclose(
+            result.worker_accuracy, batch.worker_accuracy[worker_order], atol=1e-8, rtol=0
+        )
+        assert np.array_equal(result.labels, batch.labels[task_order])
+        assert result.n_iterations == batch.n_iterations
+        assert result.converged == batch.converged
 
     def test_worker_accuracy_matches_batch_for_active_workers(self):
         stream, matrix, _ = sparse_stream(seed=3)
