@@ -151,7 +151,7 @@ from repro.workers import (
     register_behavior,
 )
 
-__version__ = "1.21.0"
+__version__ = "1.22.0"
 
 __all__ = [
     "__version__",

@@ -21,8 +21,9 @@ from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import register_rule
 from repro.obs.naming import METRIC_NAME_PATTERN
 
-#: Registry methods whose first argument is a metric name.
-REGISTRATION_METHODS = frozenset({"counter", "gauge", "histogram"})
+#: Registry methods whose first argument is a metric name (``metric``
+#: declares a catalog family by name).
+REGISTRATION_METHODS = frozenset({"counter", "gauge", "histogram", "metric"})
 
 #: The blessed constructor for computed metric names.
 NAMING_HELPER = "repro.obs.naming.metric_name"

@@ -57,6 +57,7 @@ from repro.serving.routing import resolve_router_name
 from repro.stats.rng import counter_draws, counter_uniforms, derive_seed, stream_seeds, token_hashes
 from repro.workers.behavior import WorkerBehavior
 from repro.workers.population import PopulationConfig, sample_arrival_block
+from repro.workers.profile import WorkerProfile
 
 #: ``id_prefix`` of workers minted by the arrival sampler.
 ARRIVAL_PREFIX = "mkt"
@@ -237,53 +238,82 @@ class Marketplace:
         Returns the campaign's initial pool members: the selected workers
         followed by the shared arrivals already qualified on its domain.
         """
-        policy = self._config.qualification
         members: List[ServingWorker] = []
         for worker_id in manifest.worker_ids:
             gid = f"{handle.spec.name}:{worker_id}"
             if gid in self._workers:
                 raise ValueError(f"worker {gid!r} is already registered")
-            qualifications = {
-                manifest.target_domain: qualification_for(
-                    policy,
+            members.append(
+                self._register(
                     gid,
                     manifest.target_domain,
-                    estimate=manifest.target_estimates[worker_id],
-                    questions=manifest.training_questions[worker_id],
+                    manifest.target_estimates[worker_id],
+                    manifest.training_questions[worker_id],
+                    float(manifest.final_accuracies[worker_id]),
+                    manifest.profiles.get(worker_id),
+                    origin="selected",
+                    home=handle.spec.name,
+                    behavior=(behaviors or {}).get(worker_id),
+                    tick=tick,
                 )
-            }
-            accuracies = {manifest.target_domain: float(manifest.final_accuracies[worker_id])}
-            profile = manifest.profiles.get(worker_id)
-            if profile is not None:
-                for domain in profile.domains:
-                    qualifications[domain] = qualification_for(
-                        policy,
-                        gid,
-                        domain,
-                        estimate=profile.accuracies[domain],
-                        questions=profile.task_counts[domain],
-                    )
-                    accuracies[domain] = float(profile.accuracies[domain])
-            serving = ServingWorker(
-                worker_id=gid,
-                qualifications=qualifications,
-                max_concurrent=self._config.max_concurrent,
             )
-            self._workers[gid] = MarketWorker(
-                worker_id=gid,
-                serving=serving,
-                origin="selected",
-                home=handle.spec.name,
-                accuracies=accuracies,
-                target_domain=manifest.target_domain,
-                behavior=(behaviors or {}).get(worker_id),
-                exposure_offset=float(manifest.training_questions[worker_id]),
-                arrived_tick=tick,
-            )
-            members.append(serving)
         exclude = {worker.worker_id for worker in members}
         members.extend(self.shared_candidates(manifest.target_domain, exclude))
         return members
+
+    def _register(
+        self,
+        gid: str,
+        target: str,
+        estimate: float,
+        questions: int,
+        accuracy: float,
+        profile: Optional[WorkerProfile],
+        *,
+        origin: str,
+        home: Optional[str],
+        behavior: Optional[object],
+        tick: int,
+    ) -> ServingWorker:
+        """Add one worker to the registry and return its serving record.
+
+        The target domain qualifies on ``estimate`` over ``questions`` (the
+        worker's training or prestudy) and answers at ``accuracy``; the
+        domains of ``profile`` follow it, in profile order.  ``questions``
+        is also the exposure the behaviour curve resumes from.
+        """
+        policy = self._config.qualification
+        qualifications = {
+            target: qualification_for(policy, gid, target, estimate=estimate, questions=questions)
+        }
+        accuracies = {target: accuracy}
+        if profile is not None:
+            for domain in profile.domains:
+                qualifications[domain] = qualification_for(
+                    policy,
+                    gid,
+                    domain,
+                    estimate=profile.accuracies[domain],
+                    questions=profile.task_counts[domain],
+                )
+                accuracies[domain] = float(profile.accuracies[domain])
+        serving = ServingWorker(
+            worker_id=gid,
+            qualifications=qualifications,
+            max_concurrent=self._config.max_concurrent,
+        )
+        self._workers[gid] = MarketWorker(
+            worker_id=gid,
+            serving=serving,
+            origin=origin,
+            home=home,
+            accuracies=accuracies,
+            target_domain=target,
+            behavior=behavior,
+            exposure_offset=float(questions),
+            arrived_tick=tick,
+        )
+        return serving
 
     def shared_candidates(self, domain: str, exclude: Sequence[str] = ()) -> List[ServingWorker]:
         """Present shared arrivals qualified on ``domain``, in arrival order."""
@@ -361,35 +391,17 @@ class Marketplace:
                 self.arrivals_rejected += 1
                 continue
             self.arrivals_admitted += 1
-            qualifications = {
-                target: qualification_for(policy, gid, target, estimate=observed, questions=n_questions)
-            }
-            accuracies = {target: float(curve[row, n_questions])}
-            profile = behavior.profile
-            for domain in profile.domains:
-                qualifications[domain] = qualification_for(
-                    policy,
-                    gid,
-                    domain,
-                    estimate=profile.accuracies[domain],
-                    questions=profile.task_counts[domain],
-                )
-                accuracies[domain] = float(profile.accuracies[domain])
-            serving = ServingWorker(
-                worker_id=gid,
-                qualifications=qualifications,
-                max_concurrent=self._config.max_concurrent,
-            )
-            self._workers[gid] = MarketWorker(
-                worker_id=gid,
-                serving=serving,
+            serving = self._register(
+                gid,
+                target,
+                observed,
+                n_questions,
+                float(curve[row, n_questions]),
+                behavior.profile,
                 origin="arrival",
                 home=None,
-                accuracies=accuracies,
-                target_domain=target,
                 behavior=behavior,
-                exposure_offset=float(n_questions),
-                arrived_tick=tick,
+                tick=tick,
             )
             # The SAME ServingWorker object joins every serving pool, so
             # its concurrency cap is shared across campaigns by identity.
@@ -549,37 +561,15 @@ class _OrchestratorMetrics:
     )
 
     def __init__(self, registry) -> None:
-        self.ticks = registry.counter("marketplace.ticks", "marketplace ticks executed")
-        self.admitted = registry.counter(
-            "marketplace.arrivals.admitted", "churn arrivals admitted into the marketplace"
-        )
-        self.rejected = registry.counter(
-            "marketplace.arrivals.rejected", "churn arrivals turned away by the prestudy qualification"
-        )
-        self.departures = registry.counter(
-            "marketplace.departures", "workers departed from the marketplace"
-        )
-        self.invalidations = registry.counter(
-            "marketplace.invalidations", "in-flight vote invalidations caused by departures"
-        )
-        self.campaign_events = registry.counter(
-            "marketplace.campaign.events",
-            "per-campaign lifecycle events journaled each tick",
-            ("type",),
-        )
-        self.journal_events = registry.counter(
-            "marketplace.journal.events", "events appended to the tick journal"
-        )
-        self.journal_flushes = registry.counter(
-            "marketplace.journal.flushes",
-            "journal flush batches (depends on tick_batch; excluded from stable snapshots)",
-            volatile=True,
-        )
-        self.elapsed = registry.gauge(
-            "marketplace.run.elapsed_seconds",
-            "wall-clock duration of the last orchestrator run",
-            volatile=True,
-        )
+        self.ticks = registry.metric("marketplace.ticks")
+        self.admitted = registry.metric("marketplace.arrivals.admitted")
+        self.rejected = registry.metric("marketplace.arrivals.rejected")
+        self.departures = registry.metric("marketplace.departures")
+        self.invalidations = registry.metric("marketplace.invalidations")
+        self.campaign_events = registry.metric("marketplace.campaign.events")
+        self.journal_events = registry.metric("marketplace.journal.events")
+        self.journal_flushes = registry.metric("marketplace.journal.flushes")
+        self.elapsed = registry.metric("marketplace.run.elapsed_seconds")
 
 
 class MarketplaceOrchestrator:
@@ -614,10 +604,8 @@ class MarketplaceOrchestrator:
         self._seed = int(seed)
         self._marketplace: Optional[Marketplace] = None
         self._handles: List[CampaignHandle] = []
-        self._telemetry = telemetry if telemetry is not None and telemetry.enabled else None
-        self._metrics = (
-            _OrchestratorMetrics(self._telemetry.registry) if self._telemetry is not None else None
-        )
+        self._telemetry = telemetry
+        self._metrics = _OrchestratorMetrics(telemetry.registry) if telemetry is not None else None
 
     # ------------------------------------------------------------------ #
     @property

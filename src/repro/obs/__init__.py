@@ -8,8 +8,7 @@ through:
     registration time and by analyzer rule O001.
 ``repro.obs.metrics``
     :class:`MetricsRegistry` — counters, gauges, fixed-bound histograms
-    with sorted, schema-versioned, byte-stable snapshots; and
-    :class:`NullRegistry`, the no-op stand-in for disabled telemetry.
+    with sorted, schema-versioned, byte-stable snapshots.
 ``repro.obs.timing``
     The single module allowed to read the wall clock (the one D002
     waiver site in the tree).
@@ -20,24 +19,21 @@ through:
     instrumented constructors take as a separate ``telemetry=`` argument
     (never a field of the fingerprinted Serving/Marketplace configs).
 ``repro.obs.catalog``
-    The static :data:`METRIC_CATALOG` behind ``repro-crowd metrics``.
+    The static :data:`METRIC_CATALOG`, the one place a metric's kind,
+    help, labels, volatility and bounds are written; instrumented code
+    declares a family by name with ``registry.metric(name)``.
 ``repro.obs.listener``
     :class:`PoolMetricsListener` for the pool change-event bus.
 
-Telemetry is opt-in and must be inert when off: with ``telemetry=None``
-every instrumented path reduces to one ``is None`` check, and serving
-traces / marketplace journals stay byte-identical to an uninstrumented
-run.
+Telemetry is opt-in and must be inert when off.  ``telemetry=None`` is
+the one off switch: every instrumented path reduces to one ``is None``
+check, and serving traces / marketplace journals stay byte-identical to
+an uninstrumented run.
 """
 
 from repro.obs.catalog import CATALOG_BY_NAME, METRIC_CATALOG, MetricSpec
 from repro.obs.config import Telemetry, TelemetryConfig, create_telemetry
-from repro.obs.metrics import (
-    METRICS_SCHEMA_VERSION,
-    MetricsRegistry,
-    NullRegistry,
-    NULL_METRIC,
-)
+from repro.obs.metrics import METRICS_SCHEMA_VERSION, MetricsRegistry
 from repro.obs.listener import PoolMetricsListener
 from repro.obs.naming import metric_name, validate_metric_name
 from repro.obs.tracing import TRACE_SCHEMA_VERSION, TraceRecorder
@@ -51,8 +47,6 @@ __all__ = [
     "create_telemetry",
     "METRICS_SCHEMA_VERSION",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_METRIC",
     "PoolMetricsListener",
     "metric_name",
     "validate_metric_name",

@@ -1,9 +1,10 @@
 """The static metric catalog: every metric the tree can emit, declared once.
 
-This is the single source of truth behind ``repro-crowd metrics`` and the
-README's metric table.  A test asserts that every name an instrumented
-run actually registers appears here, so the catalog cannot silently
-drift from the code.
+This is the only place a metric's shape is written down: instrumented
+code declares a family by name through
+:meth:`repro.obs.metrics.MetricsRegistry.metric`, which takes kind, help,
+labels, volatility and histogram bounds from the row here.  The same
+rows back ``repro-crowd metrics`` and the README's metric table.
 
 ``volatile`` marks metrics whose values depend on wall clock or on
 execution shape (batch sizes, flush cadence) — they are excluded from
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.naming import validate_label_names, validate_metric_name
 
@@ -32,6 +33,8 @@ class MetricSpec:
     labels: Tuple[str, ...]
     module: str  # dotted module path of the emitting code
     volatile: bool = False
+    #: Histogram bucket bounds (``None``: the registry default).
+    bounds: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
         validate_metric_name(self.name)
@@ -56,6 +59,8 @@ METRIC_CATALOG: Tuple[MetricSpec, ...] = (
         labels=("router",),
         module="repro.serving.routing",
         volatile=True,
+        # Routes run in the single-digit-microsecond range.
+        bounds=(0.000001, 0.000002, 0.000005, 0.00001, 0.00002, 0.00005, 0.0001, 0.001),
     ),
     # --- serving: service (repro.serving.service) ---------------------- #
     MetricSpec(
@@ -165,6 +170,8 @@ METRIC_CATALOG: Tuple[MetricSpec, ...] = (
         help="EM iterations per convergence run",
         labels=("aggregator",),
         module="repro.serving.aggregation",
+        # converge() stops at max_iterations=100.
+        bounds=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 100.0),
     ),
     # --- pool events (repro.obs.listener via POOL_EVENT_HOOKS) --------- #
     MetricSpec(
@@ -186,13 +193,6 @@ METRIC_CATALOG: Tuple[MetricSpec, ...] = (
         kind="counter",
         help="qualification tier transitions seen on the pool event bus",
         labels=("domain", "from_tier", "to_tier"),
-        module="repro.obs.listener",
-    ),
-    MetricSpec(
-        name="pool.load.events",
-        kind="counter",
-        help="load-change events (opt-in: TelemetryConfig.pool_load_events)",
-        labels=(),
         module="repro.obs.listener",
     ),
     # --- marketplace (repro.marketplace.orchestrator) ------------------ #
@@ -271,8 +271,14 @@ if len(CATALOG_BY_NAME) != len(METRIC_CATALOG):  # pragma: no cover - load-time 
 
 
 def catalog_rows() -> List[dict]:
-    """Catalog as sorted JSON-ready rows (for the CLI and docs)."""
-    return [asdict(CATALOG_BY_NAME[name]) for name in sorted(CATALOG_BY_NAME)]
+    """Catalog as sorted JSON-ready rows (for the CLI and docs).
+
+    Histogram bounds are a registration detail and stay out of the listing.
+    """
+    rows = [asdict(CATALOG_BY_NAME[name]) for name in sorted(CATALOG_BY_NAME)]
+    for row in rows:
+        del row["bounds"]
+    return rows
 
 
 def catalog_payload() -> dict:

@@ -4,9 +4,9 @@
 ``MarketplaceConfig``: those configs are fingerprinted into traces and
 journal headers, and turning telemetry on or off must never change a
 run's observable outputs.  Instrumented constructors instead take a
-separate ``telemetry=`` argument carrying a :class:`Telemetry` bundle
-(or ``None``), so the disabled state costs one ``is None`` check at
-construction time and nothing per event.
+separate ``telemetry=`` argument carrying a :class:`Telemetry` bundle.
+``telemetry=None`` is the one off switch: it costs one ``is None`` check
+at construction time and nothing per event.
 """
 
 from __future__ import annotations
@@ -14,36 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.obs.metrics import MetricsRegistry, NullRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import TraceRecorder
 
 
 @dataclass(frozen=True)
 class TelemetryConfig:
-    """What to collect.  Disabled by default; everything opt-in.
+    """What a bundle collects besides metrics."""
 
-    ``route_latency_sample_every`` bounds the wall-clock reads on the
-    route hot path: the (volatile) latency histogram records every Nth
-    call instead of every call, which keeps enabled-telemetry routing
-    overhead inside the benchmarked budget.  ``pool_load_events`` is off
-    by default because load changes fire per assignment (several per
-    routed task) — turning it on is cheap but measurable.
-    """
-
-    enabled: bool = False
     #: Record logical-clock trace spans (off: metrics only).
     trace: bool = False
-    #: Sample the route latency histogram every Nth route() call (>= 1).
-    route_latency_sample_every: int = 64
-    #: Count pool load-change events (fires per assignment; opt-in).
-    pool_load_events: bool = False
-
-    def __post_init__(self) -> None:
-        if self.route_latency_sample_every < 1:
-            raise ValueError(
-                f"route_latency_sample_every must be >= 1, got "
-                f"{self.route_latency_sample_every}"
-            )
 
 
 class Telemetry:
@@ -58,16 +38,8 @@ class Telemetry:
 
     def __init__(self, config: Optional[TelemetryConfig] = None) -> None:
         self.config = config if config is not None else TelemetryConfig()
-        if self.config.enabled:
-            self.registry = MetricsRegistry()
-            self.tracer = TraceRecorder() if self.config.trace else None
-        else:
-            self.registry = NullRegistry()
-            self.tracer = None
-
-    @property
-    def enabled(self) -> bool:
-        return self.config.enabled
+        self.registry = MetricsRegistry()
+        self.tracer = TraceRecorder() if self.config.trace else None
 
     def snapshot(self, include_volatile: bool = False) -> dict:
         return self.registry.snapshot(include_volatile=include_volatile)
@@ -79,22 +51,9 @@ class Telemetry:
         return self.registry.exposition(include_volatile=include_volatile)
 
 
-def create_telemetry(
-    enabled: bool = True,
-    *,
-    trace: bool = False,
-    route_latency_sample_every: int = 64,
-    pool_load_events: bool = False,
-) -> Telemetry:
+def create_telemetry(*, trace: bool = False) -> Telemetry:
     """Convenience constructor used by the CLI and benchmarks."""
-    return Telemetry(
-        TelemetryConfig(
-            enabled=enabled,
-            trace=trace,
-            route_latency_sample_every=route_latency_sample_every,
-            pool_load_events=pool_load_events,
-        )
-    )
+    return Telemetry(TelemetryConfig(trace=trace))
 
 
 __all__ = ["TelemetryConfig", "Telemetry", "create_telemetry"]

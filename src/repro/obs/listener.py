@@ -1,21 +1,20 @@
 """Pool-event metrics: a listener for the ``POOL_EVENT_HOOKS`` bus.
 
-:class:`PoolMetricsListener` turns membership, qualification and
-(optionally) load events into counters on a shared registry.  The bus
-only carries ``(worker_id, domain)`` on qualification changes, so the
-listener keeps a per-worker tier cache — primed at attach time and on
-arrivals, dropped on departures — to label transitions with both the
-``from_tier`` and the ``to_tier``.
+:class:`PoolMetricsListener` turns membership and qualification events
+into counters on a shared registry.  The bus only carries
+``(worker_id, domain)`` on qualification changes, so the listener keeps
+a per-worker tier cache — primed at attach time and on arrivals, dropped
+on departures — to label transitions with both the ``from_tier`` and the
+``to_tier``.
 
-Load events fire on every single vote (begin/complete/release), so they
-are opt-in: when ``load_events`` is false the listener simply does not
-define ``on_load_changed`` and the pool's pre-bound dispatch skips it
-entirely (see :func:`repro.serving.pool.pool_event_noop`).
+The listener defines no ``on_load_changed``: load events fire on every
+single vote, and the pool's pre-bound dispatch skips a hook a listener
+does not define (see :func:`repro.serving.pool.pool_event_noop`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.serving.qualification import QualificationTier
 
@@ -31,29 +30,12 @@ def _tier_label(tier: QualificationTier) -> str:
 class PoolMetricsListener:
     """Counts pool change events into a :class:`MetricsRegistry`."""
 
-    def __init__(self, registry, *, load_events: bool = False) -> None:
-        self._registry = registry
+    def __init__(self, registry) -> None:
         self._pool = None
         self._tiers: Dict[str, Dict[str, str]] = {}
-        self._added = registry.counter(
-            "pool.workers.added", "workers added to the serving pool"
-        )
-        self._removed = registry.counter(
-            "pool.workers.removed", "workers removed from the serving pool"
-        )
-        self._transitions = registry.counter(
-            "pool.qualification.transitions",
-            "qualification tier transitions seen on the pool event bus",
-            ("domain", "from_tier", "to_tier"),
-        )
-        if load_events:
-            self._load_events = registry.counter(
-                "pool.load.events",
-                "load-change events (opt-in: TelemetryConfig.pool_load_events)",
-            )
-            # Bound as an instance attribute only when opted in, so the
-            # pool's hook pre-binding sees no on_load_changed otherwise.
-            self.on_load_changed = self._on_load_changed
+        self._added = registry.metric("pool.workers.added")
+        self._removed = registry.metric("pool.workers.removed")
+        self._transitions = registry.metric("pool.qualification.transitions")
 
     # ------------------------------------------------------------------ #
     # Wiring
@@ -98,9 +80,6 @@ class PoolMetricsListener:
         # An estimate-only re-qualification keeps the tier: no transition.
         if from_tier != to_tier:
             self._transitions.labels(domain, from_tier, to_tier).inc()
-
-    def _on_load_changed(self, worker_id: str) -> None:
-        self._load_events.inc()
 
 
 __all__ = ["PoolMetricsListener", "UNSEEN_TIER"]

@@ -16,10 +16,12 @@ flush counts, which vary with ``tick_batch`` while the journal contents
 do not) are registered with ``volatile=True`` and excluded from the
 default snapshot; ``snapshot(include_volatile=True)`` opts back in.
 
-:class:`NullRegistry` is the disabled-telemetry stand-in: every factory
-returns a shared no-op metric, so code can be written against one API
-and a single ``is None`` / identity check keeps the disabled route path
-free of any per-call work.
+Instrumented code declares its families with
+:meth:`MetricsRegistry.metric`, which reads every shape field from the
+row in :mod:`repro.obs.catalog`; ``counter``/``gauge``/``histogram``
+remain the general primitives for metrics outside the catalog.  There is
+no disabled registry: telemetry is off when a component gets
+``telemetry=None``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import json
 from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.obs.catalog import CATALOG_BY_NAME
 from repro.obs.naming import validate_label_names, validate_metric_name
 
 #: Version stamp on every snapshot payload; bump on shape changes.
@@ -214,9 +217,6 @@ class Metric:
 class MetricsRegistry:
     """Instrument factory + deterministic snapshot/exposition writer."""
 
-    #: Identity check used by instrumented code: ``if registry.enabled:``.
-    enabled = True
-
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
 
@@ -247,6 +247,13 @@ class MetricsRegistry:
             return existing
         self._metrics[metric.name] = metric
         return metric
+
+    def metric(self, name: str) -> Metric:
+        """Declare the catalog family ``name`` with its catalogued shape."""
+        spec = CATALOG_BY_NAME.get(name)
+        if spec is None:
+            raise KeyError(f"metric {name!r} is not in repro.obs.catalog.METRIC_CATALOG")
+        return self._declare(spec.name, spec.kind, spec.help, spec.labels, spec.volatile, spec.bounds)
 
     def counter(
         self,
@@ -355,72 +362,6 @@ def _format_labels(labels: Dict[str, object]) -> str:
     return "{" + ",".join(parts) + "}"
 
 
-class _NullMetric:
-    """Shared no-op metric: accepts any child/update call and does nothing."""
-
-    __slots__ = ()
-
-    def labels(self, *values: str) -> "_NullMetric":
-        return self
-
-    def inc(self, amount: Number = 1) -> None:
-        pass
-
-    def dec(self, amount: Number = 1) -> None:
-        pass
-
-    def set(self, value: Number) -> None:
-        pass
-
-    def observe(self, value: Number) -> None:
-        pass
-
-
-#: The single shared no-op metric instance.
-NULL_METRIC = _NullMetric()
-
-
-class NullRegistry:
-    """Disabled-telemetry registry: every factory returns :data:`NULL_METRIC`.
-
-    Snapshots are empty but still schema-versioned, so export code does
-    not need to special-case the disabled state.
-    """
-
-    enabled = False
-
-    def counter(self, name: str, help: str = "", labels: Tuple[str, ...] = (), **_: object):
-        return NULL_METRIC
-
-    def gauge(self, name: str, help: str = "", labels: Tuple[str, ...] = (), **_: object):
-        return NULL_METRIC
-
-    def histogram(self, name: str, help: str = "", labels: Tuple[str, ...] = (), **_: object):
-        return NULL_METRIC
-
-    def __contains__(self, name: str) -> bool:
-        return False
-
-    def get(self, name: str) -> None:
-        return None
-
-    def names(self) -> List[str]:
-        return []
-
-    def snapshot(self, include_volatile: bool = False) -> dict:
-        return {"schema_version": METRICS_SCHEMA_VERSION, "metrics": []}
-
-    def snapshot_json(self, include_volatile: bool = False) -> str:
-        return json.dumps(
-            self.snapshot(include_volatile=include_volatile),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
-    def exposition(self, include_volatile: bool = True) -> str:
-        return ""
-
-
 __all__ = [
     "METRICS_SCHEMA_VERSION",
     "DEFAULT_HISTOGRAM_BOUNDS",
@@ -429,6 +370,4 @@ __all__ = [
     "HistogramChild",
     "Metric",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_METRIC",
 ]

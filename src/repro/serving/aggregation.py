@@ -37,9 +37,6 @@ _SMOOTH = 1e-6  # matches repro.aggregation.dawid_skene._SMOOTH
 _PSEUDO_COUNT = 1.0
 _PSEUDO_RATE = 0.7
 
-#: EM iteration histogram bounds (converge() stops at max_iterations=100).
-_ITERATION_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 100.0)
-
 
 class _AggregatorMetrics:
     """Pre-bound convergence/ingestion metrics for one aggregator."""
@@ -47,24 +44,11 @@ class _AggregatorMetrics:
     __slots__ = ("votes", "converged", "not_converged", "iterations")
 
     def __init__(self, registry, aggregator_name: str) -> None:
-        self.votes = registry.counter(
-            "aggregation.votes.ingested",
-            "votes ingested by streaming aggregators",
-            ("aggregator",),
-        ).labels(aggregator_name)
-        runs = registry.counter(
-            "aggregation.converge.runs",
-            "aggregator convergence runs by outcome",
-            ("aggregator", "converged"),
-        )
+        self.votes = registry.metric("aggregation.votes.ingested").labels(aggregator_name)
+        runs = registry.metric("aggregation.converge.runs")
         self.converged = runs.labels(aggregator_name, "true")
         self.not_converged = runs.labels(aggregator_name, "false")
-        self.iterations = registry.histogram(
-            "aggregation.converge.iterations",
-            "EM iterations per convergence run",
-            ("aggregator",),
-            bounds=_ITERATION_BOUNDS,
-        ).labels(aggregator_name)
+        self.iterations = registry.metric("aggregation.converge.iterations").labels(aggregator_name)
 
 
 class OnlineMajorityVote:

@@ -127,14 +127,8 @@ class QualityTracker:
 
     def bind_metrics(self, registry) -> None:
         """Attach observation/detection counters from a metrics registry."""
-        self._m_observations = registry.counter(
-            "quality.observations", "answer observations folded into EWMA quality state"
-        )
-        self._m_detections = registry.counter(
-            "quality.drift.detections",
-            "drift events raised by the EWMA tracker",
-            ("domain",),
-        )
+        self._m_observations = registry.metric("quality.observations")
+        self._m_detections = registry.metric("quality.drift.detections")
 
     @property
     def config(self) -> DriftConfig:

@@ -53,18 +53,9 @@ class NoEligibleWorkersError(RuntimeError):
     """Raised when no eligible worker has spare capacity for a task."""
 
 
-#: Bounds for the (volatile) route latency histogram — routes run in the
-#: single-digit-microsecond range on indexed engines.
-ROUTE_LATENCY_BOUNDS = (
-    0.000001,
-    0.000002,
-    0.000005,
-    0.00001,
-    0.00002,
-    0.00005,
-    0.0001,
-    0.001,
-)
+#: The (volatile) route latency histogram records every Nth route() call,
+#: which bounds the wall-clock reads on the route hot path.
+ROUTE_LATENCY_SAMPLE_EVERY = 64
 
 
 class _RouterObs:
@@ -72,32 +63,20 @@ class _RouterObs:
 
     Children are resolved once at bind time so the per-route cost is a
     countdown decrement plus one counter ``inc``; the wall-clock latency
-    histogram (volatile) is sampled every Nth call rather than on every
-    route, which keeps enabled-telemetry overhead inside the benchmarked
-    ≤3% budget.
+    histogram (volatile) is sampled every
+    :data:`ROUTE_LATENCY_SAMPLE_EVERY`-th call rather than on every
+    route.  Both families take their shape from the metric catalog.
     """
 
-    __slots__ = ("full", "short", "exhausted", "latency", "sample_every", "countdown")
+    __slots__ = ("full", "short", "exhausted", "latency", "countdown")
 
-    def __init__(self, registry, router_name: str, sample_every: int) -> None:
-        outcomes = registry.counter(
-            "serving.route.outcomes",
-            "route() calls by outcome: full quorum, short (fewer than "
-            "requested), exhausted (no eligible worker)",
-            ("router", "outcome"),
-        )
+    def __init__(self, registry, router_name: str) -> None:
+        outcomes = registry.metric("serving.route.outcomes")
         self.full = outcomes.labels(router_name, "full")
         self.short = outcomes.labels(router_name, "short")
         self.exhausted = outcomes.labels(router_name, "exhausted")
-        self.latency = registry.histogram(
-            "serving.route.latency_seconds",
-            "sampled wall-clock latency of route() calls",
-            ("router",),
-            volatile=True,
-            bounds=ROUTE_LATENCY_BOUNDS,
-        ).labels(router_name)
-        self.sample_every = sample_every
-        self.countdown = sample_every
+        self.latency = registry.metric("serving.route.latency_seconds").labels(router_name)
+        self.countdown = ROUTE_LATENCY_SAMPLE_EVERY
 
 
 class BaseRouter(abc.ABC):
@@ -120,17 +99,10 @@ class BaseRouter(abc.ABC):
     def bind_telemetry(self, telemetry) -> None:
         """Attach route metrics from a :class:`repro.obs.config.Telemetry`.
 
-        A disabled (or ``None``) bundle unbinds: the route path goes back
-        to the bare ``is None`` check.
+        ``None`` unbinds: the route path goes back to the bare ``is None``
+        check.
         """
-        if telemetry is None or not telemetry.enabled:
-            self._obs = None
-            return
-        self._obs = _RouterObs(
-            telemetry.registry,
-            self.name,
-            telemetry.config.route_latency_sample_every,
-        )
+        self._obs = None if telemetry is None else _RouterObs(telemetry.registry, self.name)
 
     @property
     def pool(self) -> ServingPool:
@@ -171,7 +143,7 @@ class BaseRouter(abc.ABC):
             return self._route(domain, n_votes)
         obs.countdown -= 1
         if obs.countdown <= 0:
-            obs.countdown = obs.sample_every
+            obs.countdown = ROUTE_LATENCY_SAMPLE_EVERY
             start = perf_counter()
             try:
                 chosen = self._route(domain, n_votes)

@@ -208,47 +208,18 @@ class _ServiceMetrics:
     )
 
     def __init__(self, registry) -> None:
-        self.tasks_submitted = registry.counter(
-            "serving.tasks.submitted", "tasks accepted by AnnotationService.submit()"
-        )
-        self.votes_requested = registry.counter(
-            "serving.votes.requested",
-            "votes requested across submitted tasks (before budget clamping)",
-        )
-        self.votes_assigned = registry.counter(
-            "serving.votes.assigned", "vote assignments actually routed to workers"
-        )
-        self.answers_recorded = registry.counter(
-            "serving.answers.recorded", "worker answers ingested by record_answer()"
-        )
-        agreement = registry.counter(
-            "serving.answers.agreement",
-            "per-answer agreement with the finalized task label",
-            ("agreed",),
-        )
+        self.tasks_submitted = registry.metric("serving.tasks.submitted")
+        self.votes_requested = registry.metric("serving.votes.requested")
+        self.votes_assigned = registry.metric("serving.votes.assigned")
+        self.answers_recorded = registry.metric("serving.answers.recorded")
+        agreement = registry.metric("serving.answers.agreement")
         self.agreed = agreement.labels("true")
         self.disagreed = agreement.labels("false")
-        self.tasks_finalized = registry.counter(
-            "serving.tasks.finalized", "tasks finalized with a label"
-        )
-        self.votes_invalidated = registry.counter(
-            "serving.votes.invalidated",
-            "in-flight votes invalidated by worker departure/demotion",
-        )
-        self.votes_reassigned = registry.counter(
-            "serving.votes.reassigned",
-            "invalidated votes successfully re-routed to replacement workers",
-        )
-        self.drift_demotions = registry.counter(
-            "serving.drift.demotions",
-            "drift-triggered qualification demotions applied by the service",
-            ("domain",),
-        )
-        self.elapsed = registry.gauge(
-            "serving.serve.elapsed_seconds",
-            "wall-clock duration of the last serve() run",
-            volatile=True,
-        )
+        self.tasks_finalized = registry.metric("serving.tasks.finalized")
+        self.votes_invalidated = registry.metric("serving.votes.invalidated")
+        self.votes_reassigned = registry.metric("serving.votes.reassigned")
+        self.drift_demotions = registry.metric("serving.drift.demotions")
+        self.elapsed = registry.metric("serving.serve.elapsed_seconds")
 
 
 class AnnotationService:
@@ -267,7 +238,7 @@ class AnnotationService:
         Optional :class:`repro.obs.config.Telemetry` bundle.  Deliberately
         *not* part of :class:`ServingConfig` — the config is fingerprinted
         into traces, and telemetry must never change a run's outputs.
-        ``None`` (or a disabled bundle) leaves every hot path with a
+        ``None`` turns telemetry off and leaves every hot path with a
         single ``is None`` check.
     """
 
@@ -303,7 +274,7 @@ class AnnotationService:
         self._budget_exhausted = False
         self._capacity_exhausted = False
         self._elapsed_s = 0.0
-        self._telemetry = telemetry if telemetry is not None and telemetry.enabled else None
+        self._telemetry = telemetry
         self._metrics: Optional[_ServiceMetrics] = None
         if self._telemetry is not None:
             registry = self._telemetry.registry
@@ -315,9 +286,7 @@ class AnnotationService:
                 bind(self._telemetry)
             self._tracker.bind_metrics(registry)
             self._aggregator.bind_metrics(registry)
-            PoolMetricsListener(
-                registry, load_events=self._telemetry.config.pool_load_events
-            ).attach(pool)
+            PoolMetricsListener(registry).attach(pool)
         # The service listens on the pool bus itself (besides its router):
         # a departure drops the worker's drift streams, bounding tracker
         # memory on churny open-world pools.

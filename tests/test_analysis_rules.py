@@ -640,6 +640,16 @@ class TestMetricNamingO001:
         )
         assert "O001" in _active_ids(report)
 
+    def test_fstring_name_to_catalog_declaration_fires(self, tmp_path):
+        report = _lint(
+            tmp_path,
+            """
+            def setup(registry, layer):
+                return registry.metric(f"{layer}.events")
+            """,
+        )
+        assert "O001" in _active_ids(report)
+
     def test_concatenated_name_fires(self, tmp_path):
         report = _lint(
             tmp_path,

@@ -248,3 +248,26 @@ class TestMarketplaceCommand:
     def test_scenario_qualified_datasets_accepted(self):
         args = build_parser().parse_args(["marketplace", "--datasets", "s-1:DRIFT20", "S-2"])
         assert args.datasets == ["S-1:drift20", "S-2"]
+
+
+class TestMetricsCommand:
+    def test_json_prints_the_catalog(self, capsys):
+        from repro.obs.catalog import catalog_json
+
+        assert main(["metrics", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == catalog_json() + "\n"
+        names = [row["name"] for row in json.loads(out)["metrics"]]
+        assert len(names) == 29
+        assert names == sorted(names)
+
+    def test_text_lists_one_line_per_catalog_row(self, capsys):
+        from repro.obs.catalog import METRIC_CATALOG
+
+        assert main(["metrics"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"metric catalog ({len(METRIC_CATALOG)} metrics;")
+        for spec in METRIC_CATALOG:
+            rows = [line for line in lines if line.startswith(f"  {spec.name} ({spec.kind}")]
+            assert len(rows) == 1, spec.name
+            assert rows[0].endswith(f": {spec.help}")

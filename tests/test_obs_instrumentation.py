@@ -136,20 +136,14 @@ class TestServingInstrumentation:
         assert sum(sample["value"] for sample in outcomes) == report.n_tasks_routed
 
     def test_every_registered_metric_is_in_the_catalog(self):
-        telemetry = create_telemetry(pool_load_events=True)
+        telemetry = create_telemetry()
         _serve(telemetry)
         payload = telemetry.registry.snapshot(include_volatile=True)
         for metric in payload["metrics"]:
             assert metric["name"] in CATALOG_BY_NAME, metric["name"]
-            assert metric["kind"] == CATALOG_BY_NAME[metric["name"]].kind
-
-    def test_disabled_telemetry_registers_nothing(self):
-        from repro.obs import Telemetry, TelemetryConfig
-
-        telemetry = Telemetry(TelemetryConfig(enabled=False))
-        report = _serve(telemetry)
-        assert report.n_tasks_routed > 0
-        assert telemetry.snapshot()["metrics"] == []
+            spec = CATALOG_BY_NAME[metric["name"]]
+            shape = (metric["kind"], metric["help"], tuple(metric["labels"]), metric["volatile"])
+            assert shape == (spec.kind, spec.help, spec.labels, spec.volatile), metric["name"]
 
 
 class TestPoolListener:
@@ -220,6 +214,21 @@ class TestMarketplaceInstrumentation:
             self._run(tmp_path, f"batch{batch}", telemetry, batch)
             snapshots.append(telemetry.snapshot_json())
         assert snapshots[0] == snapshots[1] == snapshots[2]
+
+    def test_snapshot_bytes_are_pinned(self, tmp_path):
+        # Where a family's shape is declared is an internal matter: the
+        # bytes of this run's snapshot must not move with it.
+        telemetry = create_telemetry()
+        self._run(tmp_path, "pinned", telemetry, 8)
+        digest = hashlib.sha256(telemetry.snapshot_json().encode("utf-8")).hexdigest()
+        assert digest == "c58ef2d5f23ffa1cf2e08d52e6f3d96cfd91273f25bb314331cdd0a8fcac626d"
+
+    def test_default_run_registers_exactly_the_catalog(self, tmp_path):
+        # No dead catalog rows: a default telemetry-on run declares every
+        # catalogued family (volatile ones included) and nothing else.
+        telemetry = create_telemetry()
+        self._run(tmp_path, "catalog", telemetry, 8)
+        assert set(telemetry.registry.names()) == set(CATALOG_BY_NAME)
 
     def test_journal_bytes_identical_with_and_without_telemetry(self, tmp_path):
         plain = self._run(tmp_path, "plain", None, 8)

@@ -10,11 +10,8 @@ from repro.obs import (
     CATALOG_BY_NAME,
     METRIC_CATALOG,
     METRICS_SCHEMA_VERSION,
-    NULL_METRIC,
     MetricsRegistry,
-    NullRegistry,
     Telemetry,
-    TelemetryConfig,
     TraceRecorder,
     create_telemetry,
     metric_name,
@@ -161,42 +158,33 @@ class TestMetricsRegistry:
         assert "unit_sizes_count 1" in text
 
 
-class TestNullRegistry:
-    def test_disabled_and_empty(self):
-        registry = NullRegistry()
-        assert registry.enabled is False
-        counter = registry.counter("unit.hits", "hits")
-        counter.inc()
-        counter.labels("a").inc(5)
-        payload = registry.snapshot()
-        assert payload["schema_version"] == METRICS_SCHEMA_VERSION
-        assert payload["metrics"] == []
-        assert registry.exposition() == ""
+class TestCatalogDeclaration:
+    def test_metric_takes_its_shape_from_the_catalog(self):
+        registry = MetricsRegistry()
+        for spec in METRIC_CATALOG:
+            metric = registry.metric(spec.name)
+            assert (metric.kind, metric.help, metric.label_names, metric.volatile) == (
+                spec.kind,
+                spec.help,
+                spec.labels,
+                spec.volatile,
+            )
+            if spec.bounds is not None:
+                assert metric.bounds == spec.bounds
+        # Re-declaring by name returns the family declared first.
+        assert registry.metric("serving.route.outcomes") is registry.get("serving.route.outcomes")
+        assert registry.names() == sorted(CATALOG_BY_NAME)
 
-    def test_null_metric_is_inert(self):
-        assert NULL_METRIC.labels("x", "y") is NULL_METRIC
-        NULL_METRIC.inc()
-        NULL_METRIC.set(3.0)
-        NULL_METRIC.observe(1.0)
+    def test_unknown_name_raises_key_error_naming_the_catalog(self):
+        with pytest.raises(KeyError, match="METRIC_CATALOG"):
+            MetricsRegistry().metric("unit.not_catalogued")
 
 
 class TestTelemetryBundle:
     def test_enabled_bundle(self):
         telemetry = create_telemetry(trace=True)
-        assert telemetry.enabled
         assert isinstance(telemetry, Telemetry)
-        assert telemetry.registry.enabled
         assert telemetry.tracer is not None
-
-    def test_disabled_bundle_uses_null_registry(self):
-        telemetry = Telemetry(TelemetryConfig(enabled=False))
-        assert not telemetry.enabled
-        assert isinstance(telemetry.registry, NullRegistry)
-        assert telemetry.tracer is None
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TelemetryConfig(route_latency_sample_every=0)
 
 
 class TestTraceRecorder:
